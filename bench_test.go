@@ -1,6 +1,6 @@
 // Root benchmark harness: one benchmark per paper table row, figure,
-// theorem and lemma experiment (DESIGN.md §5, IDs E1–E17), plus ablation
-// benchmarks for the architectural decisions of DESIGN.md §6.
+// theorem and lemma experiment (internal/papereval's E1–E20), plus ablation
+// benchmarks for the engine design choices (update order, engine, workers).
 //
 // Two kinds of benchmarks live here:
 //
@@ -12,7 +12,7 @@
 //     growth shape the paper claims.
 //   - Report benchmarks (BenchmarkReport_*) time the full papereval
 //     experiment (sweep + fit + verdict) at quick scale, exercising the
-//     exact code path cmd/experiments uses for EXPERIMENTS.md.
+//     exact code path cmd/experiments uses.
 //
 // Absolute times are machine-dependent; the shape of the rounds/op series
 // is the reproduction target.
@@ -401,7 +401,7 @@ func BenchmarkLemma11LogLog(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §6) ----------------------------------------------
+// --- Ablations --------------------------------------------------------------
 
 // BenchmarkAblation_KChoices: convergence speed vs message cost for the
 // k-choices median generalisation (E16).
@@ -511,7 +511,7 @@ func BenchmarkRuleUpdate(b *testing.B) {
 	}
 }
 
-// --- Report benchmarks: the exact EXPERIMENTS.md code paths ---------------
+// --- Report benchmarks: the cmd/experiments code paths --------------------
 
 func BenchmarkReport_E1TwoBins(b *testing.B) {
 	for i := 0; i < b.N; i++ {

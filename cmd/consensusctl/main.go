@@ -8,7 +8,9 @@
 //	consensusctl submit -kind robust -n 5000 -loss 0.1 -crashes 50 -wait
 //	consensusctl submit -kind exact -n 60 -start 20 -wait
 //	consensusctl submit -spec run.json -stream
+//	consensusctl submit -local -n 100000 -init uniform -m 16 -stream
 //	consensusctl batch -axis n=1e3,1e4 -axis seed=1,2,3
+//	consensusctl batch -local -axis n=1e3,1e4 -reps 5
 //	consensusctl batch -axis n=1e3,1e4 -zip crashes=10,100 -reps 5
 //	consensusctl batch -spec batch.json
 //	consensusctl engines
@@ -21,7 +23,9 @@
 //	consensusctl metrics
 //
 // The server is selected with -server (default http://localhost:8645) on
-// every subcommand; $CONSENSUS_TOKEN, when set, is sent as a bearer token
+// every subcommand; submit and batch take -local instead, which runs them
+// on an in-process service (client.Local) with no daemon at all.
+// $CONSENSUS_TOKEN, when set, is sent as a bearer token
 // (required by servers started with -auth-token). "submit -spec -" reads
 // one or more JSON specs from stdin (a single spec object, a service
 // RunRecord, or NDJSON of either), so sweep -json output pipes straight
@@ -126,6 +130,23 @@ func newClient(server string) *client.Client {
 	c := client.New(server)
 	c.Token = os.Getenv("CONSENSUS_TOKEN")
 	return c
+}
+
+// localFlag registers -local on the commands that run specs. A local
+// service lives only as long as the command, so submit -local always
+// waits for its runs.
+func localFlag(fs *flag.FlagSet) *bool {
+	return fs.Bool("local", false, "run on an in-process service instead of -server (implies -wait)")
+}
+
+// connect returns the client a command runs on — the daemon at server, or
+// with local an in-process service (client.Local) — and the function that
+// releases it.
+func connect(server string, local bool) (*client.Client, func(), error) {
+	if local {
+		return client.Local(service.Options{})
+	}
+	return newClient(server), func() {}, nil
 }
 
 // specFlags is the shared flag surface that builds one Spec of any kind —
@@ -478,18 +499,22 @@ func (f *specFlags) robustPayload() *service.RobustSpec {
 func runSubmit(args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
 	server := serverFlag(fs)
+	local := localFlag(fs)
 	specPath := fs.String("spec", "", "read the spec from a JSON file ('-' = stdin, NDJSON accepted) instead of flags")
 	sf := addSpecFlags(fs)
 	wait := fs.Bool("wait", false, "block until the run finishes and print the result")
 	stream := fs.Bool("stream", false, "stream round records while waiting (implies -wait)")
 	fs.Parse(args)
 
-	c := newClient(*server)
+	c, stop, err := connect(*server, *local)
+	if err != nil {
+		return err
+	}
+	defer stop()
 	ctx := context.Background()
 
 	var specs []service.Spec
 	if *specPath != "" {
-		var err error
 		specs, err = readSpecs(*specPath)
 		if err != nil {
 			return err
@@ -507,7 +532,7 @@ func runSubmit(args []string) error {
 		if err != nil {
 			return err
 		}
-		if !*wait && !*stream {
+		if !*wait && !*stream && !*local {
 			printJSON(view)
 			continue
 		}
@@ -571,6 +596,7 @@ func checkAxes(tmpl service.Spec, groups ...[]service.Axis) error {
 func runBatch(args []string) error {
 	fs := flag.NewFlagSet("batch", flag.ExitOnError)
 	server := serverFlag(fs)
+	local := localFlag(fs)
 	specPath := fs.String("spec", "", "read a BatchRequest from a JSON file ('-' = stdin) instead of flags")
 	reps := fs.Int("reps", 1, "repetitions per grid cell")
 	var axes, zips axisFlags
@@ -579,7 +605,11 @@ func runBatch(args []string) error {
 	sf := addSpecFlags(fs)
 	fs.Parse(args)
 
-	c := newClient(*server)
+	c, stop, err := connect(*server, *local)
+	if err != nil {
+		return err
+	}
+	defer stop()
 	var req service.BatchRequest
 	if *specPath != "" {
 		if err := readJSONFile(*specPath, &req); err != nil {

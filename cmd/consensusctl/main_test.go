@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"net/http"
@@ -407,6 +408,66 @@ func TestFlagValueValidationServerUnknownKind(t *testing.T) {
 	}
 	if n := submits.Load(); n != 0 {
 		t.Fatalf("unknown-kind spec reached the server (%d submits)", n)
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected to a file and returns
+// what it printed.
+func captureStdout(t *testing.T, fn func() error) []byte {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestSubmitLocal: submit -local runs the spec on an in-process service,
+// with no daemon, and prints the finished job.
+func TestSubmitLocal(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return runSubmit([]string{"-local", "-n", "2000", "-wait"})
+	})
+	var v service.JobView
+	if err := json.Unmarshal(out, &v); err != nil {
+		t.Fatalf("output %q: %v", out, err)
+	}
+	if v.Status != service.StatusDone || v.Result == nil || v.Result.WinnerCount != 2000 {
+		t.Fatalf("submit -local did not print a done result:\n%s", out)
+	}
+}
+
+// TestBatchLocal: batch -local streams one finished record per cell, in
+// cell order.
+func TestBatchLocal(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return runBatch([]string{"-local", "-n", "500", "-axis", "seed=1,2"})
+	})
+	dec := json.NewDecoder(bytes.NewReader(out))
+	cells := 0
+	for ; dec.More(); cells++ {
+		var rec service.BatchCellRecord
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Index != cells || rec.Status != service.StatusDone || rec.Result == nil {
+			t.Fatalf("cell %d: %+v", cells, rec)
+		}
+	}
+	if cells != 2 {
+		t.Fatalf("%d cells, want 2:\n%s", cells, out)
 	}
 }
 

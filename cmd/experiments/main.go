@@ -1,13 +1,13 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (DESIGN.md §5, experiments E1–E20) and prints the reports in
-// the EXPERIMENTS.md format.
+// evaluation (internal/papereval, experiments E1–E20) and prints the
+// reports as one markdown document.
 //
 // Usage:
 //
-//	experiments [-scale quick|full] [-only E1,E5] [-out EXPERIMENTS.md]
+//	experiments [-scale quick|full] [-only E1,E5] [-out report.md]
 //
-// With -out the reports are also written to the given file, producing the
-// paper-vs-measured record checked into the repository.
+// With -out the document is also written to the given file, a
+// paper-vs-measured record of the run.
 package main
 
 import (

@@ -3,15 +3,13 @@
 // workhorse behind the Figure 1 reproductions.
 //
 // Sweeps are batches: the flags build a service.BatchRequest — a template
-// spec plus an "n" axis (or, for adversarial sweeps whose almost-stable
-// slack depends on n, an explicit per-cell spec list) — and the same
-// expansion that backs POST /v1/batches turns it into canonical per-cell
-// specs. By default the cells run through an in-process service — the
-// daemon's worker pool and cache dedupe, minus the HTTP hop; with -server
-// they stream from a consensusd daemon instead. Either way -json emits
-// exactly the machine-readable records
-// the service API returns (one NDJSON RunRecord per repetition), so any
-// sweep row can be re-submitted over HTTP verbatim.
+// spec plus an "n" axis, with adversarial sweeps deriving their
+// n-dependent almost-stable slack per cell — and the cells run through one
+// path, client.Batch: on a local service executor (client.Local) by
+// default, on a consensusd daemon with -server. Either way -json emits
+// exactly the machine-readable records the service API returns (one NDJSON
+// RunRecord per repetition), so any sweep row can be re-submitted over
+// HTTP verbatim.
 //
 // Examples:
 //
@@ -34,7 +32,6 @@ import (
 	"repro/adversary"
 	"repro/consensus"
 	"repro/internal/experiment"
-	"repro/internal/stats"
 	"repro/rules"
 	"repro/service"
 	"repro/service/client"
@@ -50,7 +47,7 @@ func main() {
 	maxRounds := flag.Int("rounds", 100000, "round cap")
 	fit := flag.String("fit", "logn", "growth-law fit: logn, loglogn, linear, none")
 	seed := flag.Uint64("seed", 1, "base seed")
-	workers := flag.Int("workers", 2, "local execution worker pool size")
+	workers := flag.Int("workers", 2, "local executor worker pool size")
 	server := flag.String("server", "", "run cells on a consensusd daemon instead of locally (base URL)")
 	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table")
 	jsonOut := flag.Bool("json", false, "emit NDJSON service run records instead of a table (overrides -csv, suppresses -fit)")
@@ -72,12 +69,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var records []service.RunRecord
-	if *server != "" {
-		records, err = runRemote(*server, req)
-	} else {
-		records, err = runLocal(req, *workers)
+	records, err := run(*server, *workers, req)
+	if err != nil {
+		fatal(err)
 	}
+	cells, err := experiment.Cells(records)
 	if err != nil {
 		fatal(err)
 	}
@@ -85,13 +81,12 @@ func main() {
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		for _, rec := range records {
-			if err := enc.Encode(rec); err != nil {
+			if err := enc.Encode(service.RunRecord{Spec: rec.Spec, SpecHash: rec.SpecHash, Result: *rec.Result}); err != nil {
 				fatal(err)
 			}
 		}
 		return
 	}
-	cells := summarize(ns, *reps, records)
 	tab := experiment.CellsTable(
 		fmt.Sprintf("rounds to consensus: rule=%s init=%s adversary=%s", *ruleName, *initKind, *advName),
 		[]string{"n"}, cells)
@@ -140,71 +135,24 @@ func batchRequest(ns []float64, m int, initKind, ruleName, advName string, maxRo
 	return req, nil
 }
 
-// runLocal expands the batch with the shared expansion rules and runs the
-// cells through an in-process service — the same pool, cache dedupe and
-// in-order emission the daemon path uses, minus the HTTP hop.
-func runLocal(req service.BatchRequest, workers int) ([]service.RunRecord, error) {
-	cells, err := service.ExpandBatch(req, service.BatchLimits{})
-	if err != nil {
-		return nil, err
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	svc, err := service.New(service.Options{
-		Workers: workers,
-		// Sweeps only need results, not round streams, and the CLI has no
-		// server to protect: keep per-job record storage minimal and do
-		// not impose the daemon's population cap.
-		MaxRecords: 1,
-		MaxN:       1 << 62,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer svc.Close()
-	records := make([]service.RunRecord, 0, len(cells))
-	err = svc.RunBatch(context.Background(), cells, func(rec service.BatchCellRecord) error {
-		if rec.Status != service.StatusDone || rec.Result == nil {
-			return fmt.Errorf("cell %d (%s): status %s: %s", rec.Index, rec.SpecHash, rec.Status, rec.Error)
+// run streams the batch's cell records from the daemon at server or, with
+// server empty, from a local service executor with the given worker pool.
+func run(server string, workers int, req service.BatchRequest) ([]service.BatchCellRecord, error) {
+	c, stop := client.New(server), func() {}
+	if server == "" {
+		var err error
+		// Sweeps need results, not round streams: keep one record per run.
+		if c, stop, err = client.Local(service.Options{Workers: workers, MaxRecords: 1}); err != nil {
+			return nil, err
 		}
-		records = append(records, service.RunRecord{Spec: rec.Spec, SpecHash: rec.SpecHash, Result: *rec.Result})
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return records, nil
-}
-
-// runRemote streams the batch from a consensusd daemon.
-func runRemote(server string, req service.BatchRequest) ([]service.RunRecord, error) {
-	var records []service.RunRecord
-	err := client.New(server).Batch(context.Background(), req, func(rec service.BatchCellRecord) error {
-		if rec.Status != service.StatusDone || rec.Result == nil {
-			return fmt.Errorf("cell %d (%s): status %s: %s", rec.Index, rec.SpecHash, rec.Status, rec.Error)
-		}
-		records = append(records, service.RunRecord{Spec: rec.Spec, SpecHash: rec.SpecHash, Result: *rec.Result})
+	defer stop()
+	var records []service.BatchCellRecord
+	err := c.Batch(context.Background(), req, func(rec service.BatchCellRecord) error {
+		records = append(records, rec)
 		return nil
 	})
 	return records, err
-}
-
-// summarize groups the flat record list (reps consecutive records per grid
-// point, in expansion order) back into experiment cells.
-func summarize(ns []float64, reps int, records []service.RunRecord) []experiment.Cell {
-	if reps < 1 {
-		reps = 1
-	}
-	cells := make([]experiment.Cell, len(ns))
-	for i, n := range ns {
-		raw := make([]float64, 0, reps)
-		for r := 0; r < reps && i*reps+r < len(records); r++ {
-			raw = append(raw, float64(records[i*reps+r].Result.Rounds))
-		}
-		cells[i] = experiment.Cell{Params: []float64{n}, Summary: stats.Summarize(raw), Raw: raw}
-	}
-	return cells
 }
 
 // buildSpec assembles the batch template (the "n" axis patches the

@@ -3,6 +3,7 @@ package main
 import (
 	"testing"
 
+	"repro/internal/experiment"
 	"repro/service"
 )
 
@@ -119,16 +120,35 @@ func TestBatchRequestShapes(t *testing.T) {
 	}
 }
 
+// TestSummarizeGroupsReps: a local sweep streams reps consecutive records
+// per grid point, which fold into one cell per n, in grid order.
 func TestSummarizeGroupsReps(t *testing.T) {
-	records := make([]service.RunRecord, 4)
-	for i, rounds := range []int{10, 12, 20, 22} {
-		records[i].Result.Rounds = rounds
+	req, err := batchRequest([]float64{100, 200}, 2, "twovalue", "median", "none", 1000, 1, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cells := summarize([]float64{100, 200}, 2, records)
-	if len(cells) != 2 {
-		t.Fatalf("%d cells", len(cells))
+	records, err := run("", 2, req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cells[0].Summary.Mean != 11 || cells[1].Summary.Mean != 21 {
-		t.Fatalf("means %v/%v, want 11/21", cells[0].Summary.Mean, cells[1].Summary.Mean)
+	if len(records) != 6 {
+		t.Fatalf("%d records, want 6", len(records))
+	}
+	cells, err := experiment.Cells(records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 2 || cells[0].Params[0] != 100 || cells[1].Params[0] != 200 {
+		t.Fatalf("cells %+v, want n=100 then n=200", cells)
+	}
+	for i, c := range cells {
+		if c.Summary.N != 3 {
+			t.Fatalf("cell %d holds %d reps, want 3", i, c.Summary.N)
+		}
+		for r, rounds := range c.Raw {
+			if rec := records[3*i+r]; rounds != float64(rec.Result.Rounds) || rec.Rep != r {
+				t.Fatalf("cell %d rep %d: %v rounds, record %+v", i, r, rounds, rec)
+			}
+		}
 	}
 }

@@ -40,7 +40,7 @@ func main() {
 	// constant — the drift of Lemma 15 must beat the adversary's per-round
 	// erasure (Lemma 16 chooses "the constant c large enough"). At full
 	// strength the balancer wins for a polynomially long time; the
-	// tightness experiment (E5 in EXPERIMENTS.md) measures exactly that
+	// tightness experiment (internal/papereval's E5) measures exactly that
 	// crossover.
 	adv := adversary.NewBalancer(adversary.Sqrt(0.5), 1, 2)
 	res = consensus.Run(consensus.Config{

@@ -20,11 +20,11 @@
 //     (its empirical absorption times must match the exact expectation),
 //   - to validate Lemma 12/15-style drift claims at small n where "w.h.p."
 //     statements can be checked against exact probabilities, and
-//   - to report exact expected convergence times for the EXPERIMENTS.md
-//     small-n appendix.
+//   - to report exact expected convergence times (the "exact" spec kind).
 //
 // Everything is stdlib-only float64 dense linear algebra; n ≤ ~400 keeps
-// the O(n³) solves well under a second.
+// the O(n³) solves well under a second. Solve, its pivot-checked Gaussian
+// solver, also solves internal/markov's absorbing-chain systems.
 package exact
 
 import (
@@ -168,7 +168,7 @@ func (c *Chain) AbsorptionTimes() []float64 {
 		return make([]float64, n+1)
 	}
 	a := newAugmented(c, func(i int) []float64 { return []float64{1} })
-	sol := solve(a, m, 1)
+	sol := Solve(a, m, 1)
 	t := make([]float64, n+1)
 	for i := 1; i < n; i++ {
 		t[i] = sol[i-1][0]
@@ -188,7 +188,7 @@ func (c *Chain) WinProbabilities() []float64 {
 		return h
 	}
 	a := newAugmented(c, func(i int) []float64 { return []float64{c.P[i][n]} })
-	sol := solve(a, m, 1)
+	sol := Solve(a, m, 1)
 	for i := 1; i < n; i++ {
 		h[i] = sol[i-1][0]
 	}
@@ -281,10 +281,11 @@ func newAugmented(c *Chain, rhs func(i int) []float64) [][]float64 {
 // silently turn every returned expectation into ±Inf or NaN.
 const minPivot = 1e-12
 
-// solve runs Gaussian elimination with partial pivoting on the m×(m+k)
-// augmented matrix and returns the k solution columns per row. It panics
-// on a degenerate pivot (see eliminate) rather than returning NaNs.
-func solve(a [][]float64, m, k int) [][]float64 {
+// Solve runs Gaussian elimination with partial pivoting on the m×(m+k)
+// augmented matrix [A | B], overwriting it, and returns the k solution
+// columns per row of A·X = B. It panics on a degenerate pivot (see
+// eliminate) rather than returning NaNs.
+func Solve(a [][]float64, m, k int) [][]float64 {
 	eliminate(a, m, k)
 	// Back substitution.
 	sol := make([][]float64, m)
@@ -320,7 +321,7 @@ func eliminate(a [][]float64, m, k int) {
 		}
 		pv := math.Abs(a[piv][col])
 		if math.IsNaN(pv) || pv < minPivot {
-			panic("exact: degenerate pivot in linear solve — singular or NaN system (is some transient state absorbing?)")
+			panic("exact: degenerate pivot in linear solve — singular or NaN system (an absorbing transient state, or an unreachable target?)")
 		}
 		a[col], a[piv] = a[piv], a[col]
 		// Eliminate below.

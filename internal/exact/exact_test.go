@@ -337,7 +337,7 @@ func TestSolveDegeneratePivotPanics(t *testing.T) {
 			t.Fatalf("panic %v lacks the exact: prefix", r)
 		}
 	}()
-	solve(a, 5, 1)
+	Solve(a, 5, 1)
 }
 
 func assertPanics(t *testing.T, name string, f func()) {

@@ -1,142 +1,54 @@
-// Package experiment is the harness that turns simulation runs into the
-// tables the paper reports: parameter sweeps with repetitions, deterministic
-// per-cell seeding, a worker pool, summary statistics per cell, growth-law
+// Package experiment turns simulation runs into the tables the paper
+// reports: per-grid-point summary statistics of a rounds sweep, growth-law
 // fits, and ASCII/CSV table rendering.
 //
-// Every experiment in cmd/experiments and every benchmark row in
-// bench_test.go is a Task: a named measurement function evaluated over a
-// parameter grid with R repetitions per cell. Seeds are derived as
-// Mix64(base ⊕ cellIndex·reps + rep), so any cell can be reproduced in
-// isolation.
+// A sweep is a service batch (service.BatchRequest: a template spec, grid
+// axes and repetitions) run through the service client, on a local
+// executor or a consensusd daemon alike; Cells folds its records into one
+// Cell per grid point.
 package experiment
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
-	"sync"
 
-	"repro/internal/rng"
 	"repro/internal/stats"
+	"repro/service"
 )
 
-// Task describes one sweep: Run is called Reps times for every parameter
-// tuple in Grid and must return the measured quantity (typically rounds to
-// consensus).
-type Task struct {
-	// Name labels the experiment in output.
-	Name string
-	// Keys are the parameter names, matching the tuples in Grid.
-	Keys []string
-	// Grid lists the parameter tuples to sweep.
-	Grid [][]float64
-	// Reps is the number of repetitions per tuple (>= 1).
-	Reps int
-	// Run executes one measurement for the given tuple and seed.
-	Run func(params []float64, seed uint64) float64
-	// RunDetail, when non-nil, is used instead of Run. Besides the measured
-	// quantity it returns an arbitrary per-repetition payload (e.g. a
-	// serializable run record) stored in Cell.Details. This is how sweeps
-	// double as submittable service specs: the payload carries the spec and
-	// full result while the float feeds the summary statistics.
-	RunDetail func(params []float64, seed uint64) (float64, any)
-}
-
-// Cell is the aggregated result of one parameter tuple.
+// Cell is the aggregated result of one grid point.
 type Cell struct {
-	// Params is the tuple this cell measured.
+	// Params is the grid point's axis values.
 	Params []float64
-	// Summary aggregates the Reps measurements.
+	// Summary aggregates the repetitions' measurements.
 	Summary stats.Summary
 	// Raw holds the individual measurements in repetition order.
 	Raw []float64
-	// Details holds the per-repetition payloads returned by Task.RunDetail,
-	// in repetition order (nil when the task only defines Run).
-	Details []any
 }
 
-// Sweep evaluates the task over its grid using the given worker count
-// (minimum 1) and returns one Cell per tuple, in grid order. Seeding is
-// deterministic: cell i, rep r uses seed Mix64(base + i·Reps + r), so
-// results are independent of the worker count.
-func Sweep(t Task, baseSeed uint64, workers int) []Cell {
-	if t.Reps < 1 {
-		panic("experiment: Reps must be >= 1")
-	}
-	if t.Run == nil && t.RunDetail == nil {
-		panic("experiment: nil Run and RunDetail")
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	type job struct{ cell, rep int }
-	jobs := make(chan job, len(t.Grid)*t.Reps)
-	raw := make([][]float64, len(t.Grid))
-	var details [][]any
-	if t.RunDetail != nil {
-		details = make([][]any, len(t.Grid))
-	}
-	for i := range raw {
-		raw[i] = make([]float64, t.Reps)
-		if details != nil {
-			details[i] = make([]any, t.Reps)
+// Cells folds the records of a rounds sweep into one Cell per grid point,
+// each run contributing its round count. The records must come in batch
+// expansion order, as the service streams them: a grid point's
+// repetitions are consecutive, starting at rep 0. A run that did not
+// finish is an error.
+func Cells(records []service.BatchCellRecord) ([]Cell, error) {
+	var cells []Cell
+	for _, rec := range records {
+		if rec.Status != service.StatusDone || rec.Result == nil {
+			return nil, fmt.Errorf("experiment: cell %d (%s): status %s: %s",
+				rec.Index, rec.SpecHash, rec.Status, rec.Error)
 		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				seed := rng.Mix64(baseSeed + uint64(j.cell)*uint64(t.Reps) + uint64(j.rep))
-				if t.RunDetail != nil {
-					raw[j.cell][j.rep], details[j.cell][j.rep] = t.RunDetail(t.Grid[j.cell], seed)
-				} else {
-					raw[j.cell][j.rep] = t.Run(t.Grid[j.cell], seed)
-				}
-			}
-		}()
-	}
-	for c := range t.Grid {
-		for r := 0; r < t.Reps; r++ {
-			jobs <- job{c, r}
+		if rec.Rep == 0 || len(cells) == 0 {
+			cells = append(cells, Cell{Params: rec.Params})
 		}
+		c := &cells[len(cells)-1]
+		c.Raw = append(c.Raw, float64(rec.Result.Rounds))
 	}
-	close(jobs)
-	wg.Wait()
-	cells := make([]Cell, len(t.Grid))
 	for i := range cells {
-		cells[i] = Cell{
-			Params:  t.Grid[i],
-			Summary: stats.Summarize(raw[i]),
-			Raw:     raw[i],
-		}
-		if details != nil {
-			cells[i].Details = details[i]
-		}
+		cells[i].Summary = stats.Summarize(cells[i].Raw)
 	}
-	return cells
-}
-
-// Grid1 builds a single-parameter grid from values.
-func Grid1(values ...float64) [][]float64 {
-	g := make([][]float64, len(values))
-	for i, v := range values {
-		g[i] = []float64{v}
-	}
-	return g
-}
-
-// Grid2 builds the cartesian product of two parameter lists.
-func Grid2(a, b []float64) [][]float64 {
-	g := make([][]float64, 0, len(a)*len(b))
-	for _, x := range a {
-		for _, y := range b {
-			g = append(g, []float64{x, y})
-		}
-	}
-	return g
+	return cells, nil
 }
 
 // Table is a rendered result table.
@@ -262,10 +174,4 @@ func DescribeFit(cells []Cell, law GrowthLaw) (stats.LinearFit, string) {
 		panic("experiment: unknown growth law")
 	}
 	return fit, fmt.Sprintf("%s: a=%.3f b=%.3f R2=%.4f", name, fit.Slope, fit.Intercept, fit.R2)
-}
-
-// SortCells orders cells by their first parameter (in-place) — convenient
-// after concurrent collection.
-func SortCells(cells []Cell) {
-	sort.Slice(cells, func(i, j int) bool { return cells[i].Params[0] < cells[j].Params[0] })
 }

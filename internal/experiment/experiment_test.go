@@ -5,100 +5,64 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/stats"
+	"repro/service"
 )
 
-func TestSweepDeterministicAcrossWorkers(t *testing.T) {
-	task := Task{
-		Name: "probe",
-		Keys: []string{"x"},
-		Grid: Grid1(1, 2, 3),
-		Reps: 5,
-		Run: func(p []float64, seed uint64) float64 {
-			return p[0]*1000 + float64(seed%97)
-		},
+// record is one finished run of a sweep's grid point.
+func record(params []float64, rep, rounds int) service.BatchCellRecord {
+	return service.BatchCellRecord{
+		BatchCell: service.BatchCell{Rep: rep, Params: params},
+		Status:    service.StatusDone,
+		Result:    &service.RunResult{Rounds: rounds},
 	}
-	a := Sweep(task, 42, 1)
-	b := Sweep(task, 42, 8)
-	if len(a) != 3 || len(b) != 3 {
-		t.Fatalf("cell counts %d, %d", len(a), len(b))
+}
+
+// cellsOf builds one single-measurement cell per x.
+func cellsOf(f func(x float64) float64, xs ...float64) []Cell {
+	cells := make([]Cell, len(xs))
+	for i, x := range xs {
+		cells[i] = Cell{Params: []float64{x}, Summary: stats.Summarize([]float64{f(x)})}
 	}
-	for i := range a {
-		for r := range a[i].Raw {
-			if a[i].Raw[r] != b[i].Raw[r] {
-				t.Fatalf("cell %d rep %d differs across worker counts", i, r)
-			}
+	return cells
+}
+
+// TestSweepSummary: Cells folds each grid point's consecutive reps into
+// one cell, in grid order, with the raw rounds in rep order.
+func TestSweepSummary(t *testing.T) {
+	var recs []service.BatchCellRecord
+	for _, n := range []float64{10, 20} {
+		for rep, rounds := range []int{3, 5, 4} {
+			recs = append(recs, record([]float64{n}, rep, rounds+int(n)))
+		}
+	}
+	cells, err := Cells(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 2 {
+		t.Fatalf("%d cells, want 2", len(cells))
+	}
+	for i, n := range []float64{10, 20} {
+		c := cells[i]
+		if c.Params[0] != n || c.Summary.N != 3 || c.Summary.Mean != n+4 {
+			t.Fatalf("cell %d: params %v, N %d, mean %v", i, c.Params, c.Summary.N, c.Summary.Mean)
+		}
+		if c.Raw[0] != n+3 || c.Raw[1] != n+5 || c.Raw[2] != n+4 {
+			t.Fatalf("cell %d: raw %v not in rep order", i, c.Raw)
 		}
 	}
 }
 
-func TestSweepSeedsDistinct(t *testing.T) {
-	seeds := make(map[uint64]bool)
-	task := Task{
-		Keys: []string{"x"},
-		Grid: Grid1(1, 2),
-		Reps: 4,
-		Run: func(p []float64, seed uint64) float64 {
-			seeds[seed] = true
-			return 0
-		},
-	}
-	Sweep(task, 7, 1)
-	if len(seeds) != 8 {
-		t.Fatalf("expected 8 distinct seeds, got %d", len(seeds))
-	}
-}
-
-func TestSweepSummary(t *testing.T) {
-	task := Task{
-		Keys: []string{"x"},
-		Grid: Grid1(10),
-		Reps: 3,
-		Run: func(p []float64, seed uint64) float64 {
-			return float64(seed % 3) // deterministic but varied
-		},
-	}
-	cells := Sweep(task, 1, 2)
-	if cells[0].Summary.N != 3 {
-		t.Fatalf("N = %d", cells[0].Summary.N)
-	}
-	if cells[0].Params[0] != 10 {
-		t.Fatalf("params %v", cells[0].Params)
-	}
-}
-
-func TestSweepPanics(t *testing.T) {
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("reps: expected panic")
-			}
-		}()
-		Sweep(Task{Grid: Grid1(1), Reps: 0, Run: func([]float64, uint64) float64 { return 0 }}, 1, 1)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("nil run: expected panic")
-			}
-		}()
-		Sweep(Task{Grid: Grid1(1), Reps: 1}, 1, 1)
-	}()
-}
-
-func TestGrid1(t *testing.T) {
-	g := Grid1(5, 6)
-	if len(g) != 2 || g[0][0] != 5 || g[1][0] != 6 {
-		t.Fatalf("%v", g)
-	}
-}
-
-func TestGrid2(t *testing.T) {
-	g := Grid2([]float64{1, 2}, []float64{10, 20, 30})
-	if len(g) != 6 {
-		t.Fatalf("len %d", len(g))
-	}
-	if g[0][0] != 1 || g[0][1] != 10 || g[5][0] != 2 || g[5][1] != 30 {
-		t.Fatalf("%v", g)
+// TestCellsRejectsUnfinished: a sweep with a run that failed has no honest
+// summary, so Cells reports it instead of folding in a zero.
+func TestCellsRejectsUnfinished(t *testing.T) {
+	failed := record([]float64{10}, 1, 0)
+	failed.Status, failed.Result, failed.Error = service.StatusFailed, nil, "boom"
+	_, err := Cells([]service.BatchCellRecord{record([]float64{10}, 0, 3), failed})
+	if err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("failed run folded without error: %v", err)
 	}
 }
 
@@ -145,14 +109,8 @@ func TestFormatF(t *testing.T) {
 }
 
 func TestCellsTable(t *testing.T) {
-	task := Task{
-		Keys: []string{"n"},
-		Grid: Grid1(4, 8),
-		Reps: 2,
-		Run:  func(p []float64, seed uint64) float64 { return p[0] },
-	}
-	cells := Sweep(task, 1, 1)
-	tab := CellsTable("t", task.Keys, cells)
+	cells := cellsOf(func(x float64) float64 { return x }, 4, 8)
+	tab := CellsTable("t", []string{"n"}, cells)
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows %d", len(tab.Rows))
 	}
@@ -163,13 +121,7 @@ func TestCellsTable(t *testing.T) {
 
 func TestDescribeFitLogN(t *testing.T) {
 	// Means that are exactly 3 ln n + 1.
-	grid := Grid1(100, 1000, 10000, 100000)
-	cells := Sweep(Task{
-		Keys: []string{"n"},
-		Grid: grid,
-		Reps: 1,
-		Run:  func(p []float64, seed uint64) float64 { return 3*math.Log(p[0]) + 1 },
-	}, 1, 1)
+	cells := cellsOf(func(n float64) float64 { return 3*math.Log(n) + 1 }, 100, 1000, 10000, 100000)
 	fit, desc := DescribeFit(cells, LawLogN)
 	if math.Abs(fit.Slope-3) > 1e-9 || fit.R2 < 1-1e-12 {
 		t.Fatalf("fit %+v (%s)", fit, desc)
@@ -180,64 +132,13 @@ func TestDescribeFitLogN(t *testing.T) {
 }
 
 func TestDescribeFitLogLogAndLinear(t *testing.T) {
-	grid := Grid1(100, 10000, 100000000)
-	cells := Sweep(Task{
-		Keys: []string{"n"},
-		Grid: grid,
-		Reps: 1,
-		Run:  func(p []float64, seed uint64) float64 { return 5 * math.Log(math.Log(p[0])) },
-	}, 1, 1)
+	cells := cellsOf(func(n float64) float64 { return 5 * math.Log(math.Log(n)) }, 100, 10000, 100000000)
 	fit, _ := DescribeFit(cells, LawLogLogN)
 	if math.Abs(fit.Slope-5) > 1e-9 {
 		t.Fatalf("loglog fit %+v", fit)
 	}
-	cells2 := Sweep(Task{
-		Keys: []string{"x"},
-		Grid: Grid1(1, 2, 3),
-		Reps: 1,
-		Run:  func(p []float64, seed uint64) float64 { return 2 * p[0] },
-	}, 1, 1)
-	fit2, _ := DescribeFit(cells2, LawLinear)
+	fit2, _ := DescribeFit(cellsOf(func(x float64) float64 { return 2 * x }, 1, 2, 3), LawLinear)
 	if math.Abs(fit2.Slope-2) > 1e-9 {
 		t.Fatalf("linear fit %+v", fit2)
-	}
-}
-
-func TestSortCells(t *testing.T) {
-	cells := []Cell{{Params: []float64{3}}, {Params: []float64{1}}, {Params: []float64{2}}}
-	SortCells(cells)
-	if cells[0].Params[0] != 1 || cells[2].Params[0] != 3 {
-		t.Fatalf("%v", cells)
-	}
-}
-
-func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	// Cell results must depend only on (task, baseSeed), not on the
-	// worker count, so parallel sweeps are reproducible.
-	task := Task{
-		Name: "det",
-		Keys: []string{"x"},
-		Grid: Grid1(1, 2, 3, 4),
-		Reps: 3,
-		Run: func(p []float64, seed uint64) float64 {
-			return p[0]*1e6 + float64(seed%1000)
-		},
-	}
-	a := Sweep(task, 42, 1)
-	b := Sweep(task, 42, 4)
-	SortCells(a)
-	SortCells(b)
-	if len(a) != len(b) {
-		t.Fatalf("cell counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Summary.Mean != b[i].Summary.Mean {
-			t.Fatalf("cell %d: mean %v (1 worker) vs %v (4 workers)", i, a[i].Summary.Mean, b[i].Summary.Mean)
-		}
-		for j := range a[i].Raw {
-			if a[i].Raw[j] != b[i].Raw[j] {
-				t.Fatalf("cell %d raw %d differs across worker counts", i, j)
-			}
-		}
 	}
 }

@@ -13,13 +13,14 @@
 //     probability c3.
 //   - HittingTime measures the time to reach a target state by simulation.
 //   - ExpectedHitting solves the exact first-passage linear system
-//     (I − Q)·h = 1 by Gaussian elimination, giving analytic reference
-//     values for the simulated chains.
+//     (I − Q)·h = 1 by Gaussian elimination (exact.Solve), giving analytic
+//     reference values for the simulated chains.
 package markov
 
 import (
 	"math"
 
+	"repro/internal/exact"
 	"repro/internal/rng"
 )
 
@@ -161,126 +162,56 @@ func (c *GrowthChain) TransitionMatrix() [][]float64 {
 // ExpectedHitting solves the exact expected first-passage times into the
 // target set for the transition matrix p: h[i] = 0 for i ∈ targets, else
 // h[i] = 1 + Σ_j p[i][j]·h[j]. The linear system (I − Q)h = 1 over the
-// non-target states is solved by Gaussian elimination with partial
-// pivoting. Panics if the system is singular (target unreachable from some
-// state with probability 1 leads to a singular or near-singular system).
+// non-target states is solved by exact.Solve. Panics if the system is
+// singular (target unreachable from some state with probability 1 leads to
+// a singular or near-singular system).
 func ExpectedHitting(p [][]float64, targets map[int]bool) []float64 {
-	n := len(p)
-	// Index map for non-target states.
-	idx := make([]int, 0, n)
-	pos := make(map[int]int, n)
-	for i := 0; i < n; i++ {
+	var idx []int
+	for i := range p {
 		if !targets[i] {
-			pos[i] = len(idx)
 			idx = append(idx, i)
 		}
 	}
-	k := len(idx)
-	// Build A = I − Q and b = 1.
-	a := make([][]float64, k)
-	b := make([]float64, k)
+	sol := exact.Solve(augmented(p, idx, func(int) float64 { return 1 }), len(idx), 1)
+	h := make([]float64, len(p))
 	for r, i := range idx {
-		a[r] = make([]float64, k)
-		for cI, j := range idx {
-			v := -p[i][j]
-			if i == j {
-				v += 1
-			}
-			a[r][cI] = v
-		}
-		b[r] = 1
-	}
-	solveInPlace(a, b)
-	h := make([]float64, n)
-	for r, i := range idx {
-		h[i] = b[r]
+		h[i] = sol[r][0]
 	}
 	return h
-}
-
-// minPivot is the degenerate-pivot threshold: the systems here are I − Q
-// with O(1) entries, so a pivot below it — or a NaN from poisoned input —
-// means the system is singular, and dividing by it would silently turn
-// every returned hitting time into ±Inf or NaN.
-const minPivot = 1e-12
-
-// solveInPlace solves a·x = b by Gaussian elimination with partial
-// pivoting; the solution is written into b. It panics on a degenerate
-// (zero, denormal or NaN) pivot rather than returning NaNs.
-//
-//consensus:hotpath
-func solveInPlace(a [][]float64, b []float64) {
-	n := len(a)
-	for col := 0; col < n; col++ {
-		// Pivot.
-		piv := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[piv][col]) {
-				piv = r
-			}
-		}
-		pv := math.Abs(a[piv][col])
-		if math.IsNaN(pv) || pv < minPivot {
-			panic("markov: degenerate pivot in linear solve — singular or NaN system (unreachable target?)")
-		}
-		a[col], a[piv] = a[piv], a[col]
-		b[col], b[piv] = b[piv], b[col]
-		// Eliminate below.
-		for r := col + 1; r < n; r++ {
-			f := a[r][col] / a[col][col]
-			if f == 0 {
-				continue
-			}
-			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
-			}
-			b[r] -= f * b[col]
-		}
-	}
-	// Back substitution.
-	for r := n - 1; r >= 0; r-- {
-		sum := b[r]
-		for c := r + 1; c < n; c++ {
-			sum -= a[r][c] * b[c]
-		}
-		b[r] = sum / a[r][r]
-	}
 }
 
 // AbsorptionProbability computes, for each state, the probability of being
 // absorbed in `good` rather than `bad` (both absorbing), by solving
 // q[i] = Σ_j p[i][j]·q[j] with q[good] = 1, q[bad] = 0.
 func AbsorptionProbability(p [][]float64, good, bad int) []float64 {
-	n := len(p)
-	idx := make([]int, 0, n)
-	pos := make(map[int]int, n)
-	for i := 0; i < n; i++ {
+	var idx []int
+	for i := range p {
 		if i != good && i != bad {
-			pos[i] = len(idx)
 			idx = append(idx, i)
 		}
 	}
-	k := len(idx)
-	a := make([][]float64, k)
-	b := make([]float64, k)
-	for r, i := range idx {
-		a[r] = make([]float64, k)
-		for cI, j := range idx {
-			v := -p[i][j]
-			if i == j {
-				v += 1
-			}
-			a[r][cI] = v
-		}
-		b[r] = p[i][good]
-	}
-	if k > 0 {
-		solveInPlace(a, b)
-	}
-	q := make([]float64, n)
+	sol := exact.Solve(augmented(p, idx, func(i int) float64 { return p[i][good] }), len(idx), 1)
+	q := make([]float64, len(p))
 	q[good] = 1
 	for r, i := range idx {
-		q[i] = b[r]
+		q[i] = sol[r][0]
 	}
 	return q
+}
+
+// augmented builds the system [I − Q | b] over the states idx: Q is p
+// restricted to idx and b[r] = rhs(idx[r]).
+func augmented(p [][]float64, idx []int, rhs func(i int) float64) [][]float64 {
+	k := len(idx)
+	a := make([][]float64, k)
+	for r, i := range idx {
+		row := make([]float64, k+1)
+		for c, j := range idx {
+			row[c] = -p[i][j]
+		}
+		row[r]++
+		row[k] = rhs(i)
+		a[r] = row
+	}
+	return a
 }

@@ -19,6 +19,7 @@ import (
 	"repro/multidim"
 	"repro/robust"
 	"repro/rules"
+	"repro/service"
 )
 
 // E8Gravity validates Equation 1: the exact gravity differs from
@@ -233,26 +234,17 @@ func E12GossipConformance(s Scale) Report {
 	if len(ns) > 2 {
 		ns = ns[:2] // the gossip engine is O(n) memory per round; keep modest
 	}
-	task := func(engine consensus.Engine, base uint64) []experiment.Cell {
-		return experiment.Sweep(experiment.Task{
-			Name: "conformance",
-			Keys: []string{"n"},
-			Grid: experiment.Grid1(ns...),
-			Reps: s.Reps,
-			Run: func(p []float64, seed uint64) float64 {
-				n := int(p[0])
-				return float64(consensus.Run(consensus.Config{
-					Values:    consensus.EvenBlocks(n, 4),
-					Rule:      rules.Median{},
-					Seed:      seed,
-					MaxRounds: s.MaxRounds,
-					Engine:    engine,
-				}).Rounds)
-			},
-		}, base, s.Workers)
-	}
-	gossipCells := task(consensus.EngineGossip, 1201)
-	ballCells := task(consensus.EngineBall, 1202)
+	blocks := service.InitSpec{Kind: "evenblocks", M: 4}
+	gossipCells := s.sweep(service.BatchRequest{
+		Template: service.Spec{Kind: service.KindGossip, Seed: 1201, Payload: &service.GossipSpec{
+			Init: blocks, Rule: medianRule}},
+		Axes: []service.Axis{nAxis(ns...)},
+	})
+	ballCells := s.sweep(service.BatchRequest{
+		Template: service.Spec{Seed: 1202, Payload: &service.MedianSpec{
+			Init: blocks, Rule: medianRule, Engine: "ball"}},
+		Axes: []service.Axis{nAxis(ns...)},
+	})
 	tab := &experiment.Table{
 		Title:  "message-passing network vs balls-and-bins abstraction (mean rounds)",
 		Header: []string{"n", "gossip", "ball", "rel diff"},
@@ -394,30 +386,19 @@ func E14MarkovHitting(s Scale) Report {
 // imbalance: with Δ0 = n/4 the two-bin process finishes in O(log log n)
 // rounds.
 func E15Lemma11LogLog(s Scale) Report {
-	task := experiment.Task{
-		Name: "lemma11",
-		Keys: []string{"n"},
-		Grid: experiment.Grid1(s.Ns...),
-		Reps: s.Reps,
-		Run: func(p []float64, seed uint64) float64 {
-			n := int(p[0])
-			return float64(consensus.Run(consensus.Config{
-				Values:    consensus.TwoValue(n, n/4, 1, 2), // Δ0 = n/4 ≥ cn
-				Rule:      rules.Median{},
-				Seed:      seed,
-				MaxRounds: s.MaxRounds,
-				Engine:    consensus.EngineTwoBin,
-			}).Rounds)
-		},
-	}
-	cells := experiment.Sweep(task, 1515, s.Workers)
-	fitLL, descLL := experiment.DescribeFit(cells, experiment.LawLogLogN)
+	cells := s.sweep(service.BatchRequest{
+		Template: service.Spec{Seed: 1515, Payload: &service.MedianSpec{
+			Init: service.InitSpec{Kind: "twovalue"}, Rule: medianRule, Engine: "twobin"}},
+		Axes: []service.Axis{nAxis(s.Ns...)},
+		// A quarter of the population on the low value: Δ0 = n/4 ≥ cn.
+		Derive: []service.DeriveRule{{Param: "n_low", From: "n", Factor: 0.25}},
+	})
+	_, descLL := experiment.DescribeFit(cells, experiment.LawLogLogN)
 	first := cells[0].Summary.Mean
 	last := cells[len(cells)-1].Summary.Mean
 	decades := math.Log10(cells[len(cells)-1].Params[0] / cells[0].Params[0])
 	verdict := fmt.Sprintf("rounds grew only %.1f → %.1f across %.0f decades of n (%s) — consistent with O(log log n), far below a log n law",
 		first, last, decades, descLL)
-	_ = fitLL
 	return Report{
 		ID:    "E15 (Lemma 11: log log collapse)",
 		Claim: "Δ0 ≥ cn implies stable consensus in O(log log n) rounds",
@@ -436,34 +417,17 @@ func E16KChoicesAblation(s Scale) Report {
 		Title:  fmt.Sprintf("k-choices median on all-distinct input, n=%d", n),
 		Header: []string{"choices", "mean rounds", "messages/process"},
 	}
-	type row struct {
-		k      int
-		rounds float64
-	}
-	var rows []row
-	for _, k := range []int{1, 2, 4} {
-		cells := experiment.Sweep(experiment.Task{
-			Name: "kchoices",
-			Keys: []string{"n"},
-			Grid: experiment.Grid1(float64(n)),
-			Reps: s.Reps,
-			Run: func(p []float64, seed uint64) float64 {
-				return float64(consensus.Run(consensus.Config{
-					Values:    consensus.AllDistinct(int(p[0])),
-					Rule:      rules.NewKMedian(k),
-					Seed:      seed,
-					MaxRounds: s.MaxRounds,
-					Engine:    consensus.EngineCount,
-				}).Rounds)
-			},
-		}, uint64(1600+k), s.Workers)
-		mean := cells[0].Summary.Mean
-		rows = append(rows, row{k, mean})
-		tab.AddRow(fmt.Sprintf("%d", 2*k), fmt.Sprintf("%.1f", mean),
-			fmt.Sprintf("%.0f", float64(2*k)*mean))
+	cells := s.sweep(service.BatchRequest{
+		Template: service.Spec{Seed: 1600, Payload: &service.MedianSpec{
+			Init: service.InitSpec{Kind: "distinct", N: n}, Rule: service.RuleSpec{Name: "kmedian"}, Engine: "count"}},
+		Axes: []service.Axis{{Param: "k", Values: []float64{1, 2, 4}}},
+	})
+	for _, c := range cells {
+		choices, mean := 2*c.Params[0], c.Summary.Mean
+		tab.AddRow(fmt.Sprintf("%.0f", choices), fmt.Sprintf("%.1f", mean), fmt.Sprintf("%.0f", choices*mean))
 	}
 	verdict := fmt.Sprintf("2 choices: %.1f rounds; 4 choices: %.1f; 8 choices: %.1f — more choices shave rounds with diminishing returns while message cost rises linearly",
-		rows[0].rounds, rows[1].rounds, rows[2].rounds)
+		cells[0].Summary.Mean, cells[1].Summary.Mean, cells[2].Summary.Mean)
 	return Report{
 		ID:      "E16 (ablation: power of k choices)",
 		Claim:   "(extension) the two-choice median is the sweet spot the paper's title points at",

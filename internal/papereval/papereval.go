@@ -1,14 +1,20 @@
 // Package papereval defines the paper's evaluation as code: one function per
-// table row / theorem / lemma (experiment IDs E1–E20 in DESIGN.md §5). Each
-// returns a Report with the paper's claim, the measured table, and a
+// table row / theorem / lemma (experiments E1–E20, listed by Registry).
+// Each returns a Report with the paper's claim, the measured table, and a
 // verdict string summarising whether the measured *shape* matches.
 //
+// The rounds sweeps (E1–E5, E12, E15, E16) are service batches — a
+// template spec, n/m/k axes, per-cell derived parameters and repetitions —
+// run on a local service executor (client.Local), so their seeding,
+// caching, admission and timing follow the path every run takes. The lemma
+// observables (E6–E11, E13, E14, E17–E20) drive the engines directly.
+//
 // The functions are shared by cmd/experiments (full scale, human-readable
-// output, EXPERIMENTS.md regeneration) and bench_test.go (quick scale,
-// testing.B integration).
+// output) and bench_test.go (quick scale, testing.B integration).
 package papereval
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -18,6 +24,8 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/stats"
 	"repro/rules"
+	"repro/service"
+	"repro/service/client"
 )
 
 // Scale controls experiment sizes so the same definitions serve fast
@@ -31,7 +39,7 @@ type Scale struct {
 	Reps int
 	// MaxRounds caps individual runs.
 	MaxRounds int
-	// Workers parallelises sweeps.
+	// Workers sizes the sweeps' local executor worker pool.
 	Workers int
 }
 
@@ -55,7 +63,7 @@ var Full = Scale{
 
 // Report is one experiment's outcome.
 type Report struct {
-	// ID is the experiment identifier (DESIGN.md §5).
+	// ID is the experiment identifier and the paper statement it covers.
 	ID string
 	// Claim restates the paper's statement being measured.
 	Claim string
@@ -75,45 +83,76 @@ func (r Report) Render(sb *strings.Builder) {
 	fmt.Fprintf(sb, "Measured: %s\n\n", r.Verdict)
 }
 
-// almostSlack returns the O(T) agreement slack used for adversarial runs:
-// 3T, the paper's "all but up to O(T) processes agree".
-func almostSlack(n int) int {
-	t := int(math.Sqrt(float64(n)))
-	return 3 * t
+// slackRule derives an adversarial sweep cell's almost-stable slack from
+// its population: ⌊3·√n⌋, the paper's "all but up to O(T) processes agree"
+// at T = √n.
+var slackRule = service.DeriveRule{Param: "almost_slack", From: "n", Func: "sqrt", Factor: 3}
+
+// almostSlack is slackRule's slack for runs outside a batch.
+func almostSlack(n int) int { return adversary.Sqrt(3)(n) }
+
+// medianRule is the update rule the rounds sweeps run.
+var medianRule = service.RuleSpec{Name: "median"}
+
+// nAxis sweeps the population over ns.
+func nAxis(ns ...float64) service.Axis { return service.Axis{Param: "n", Values: ns} }
+
+// balancer is the two-bin balancing adversary over the values 1 and 2.
+func balancer(budget adversary.BudgetSpec) *service.AdversarySpec {
+	return &service.AdversarySpec{Name: "balancer", Budget: budget, Params: adversary.Params{"low": 1, "high": 2}}
+}
+
+// splitter is the √n-bounded median-splitting adversary.
+func splitter() *service.AdversarySpec {
+	return &service.AdversarySpec{Name: "median-splitter", Budget: adversary.BudgetSpec{Kind: "sqrt", Factor: 1}}
+}
+
+// sweep runs a rounds sweep — req with s.Reps repetitions per grid point,
+// each run capped at s.MaxRounds — on a local service executor with
+// s.Workers workers, and folds the records into one cell per grid point.
+// Repetition r of grid point i runs with seed Mix64(Mix64(seed) + i·Reps +
+// r) for the template seed (service.ExpandBatch). The experiments have no
+// error path, so a sweep that cannot run panics.
+func (s Scale) sweep(req service.BatchRequest) []experiment.Cell {
+	req.Reps = s.Reps
+	req.Template.MaxRounds = s.MaxRounds
+	// Sweeps need results, not round streams: keep one record per run.
+	c, stop, err := client.Local(service.Options{Workers: s.Workers, MaxRecords: 1})
+	if err != nil {
+		panic(fmt.Sprintf("papereval: start the local executor: %v", err))
+	}
+	defer stop()
+	var records []service.BatchCellRecord
+	err = c.Batch(context.Background(), req, func(rec service.BatchCellRecord) error {
+		records = append(records, rec)
+		return nil
+	})
+	var cells []experiment.Cell
+	if err == nil {
+		cells, err = experiment.Cells(records)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("papereval: sweep: %v", err))
+	}
+	return cells
 }
 
 // E1Fig1TwoBins reproduces Figure 1 row 1 (= Theorem 10): worst-case two
 // bins need O(log n) rounds, with and without a √n-bounded adversary.
 func E1Fig1TwoBins(s Scale) Report {
 	run := func(adv bool) []experiment.Cell {
-		task := experiment.Task{
-			Name: "two-bins",
-			Keys: []string{"n"},
-			Grid: experiment.Grid1(s.Ns...),
-			Reps: s.Reps,
-			Run: func(p []float64, seed uint64) float64 {
-				n := int(p[0])
-				cfg := consensus.Config{
-					Values:    consensus.TwoValue(n, n/2, 1, 2),
-					Rule:      rules.Median{},
-					Seed:      seed,
-					MaxRounds: s.MaxRounds,
-					Engine:    consensus.EngineTwoBin,
-				}
-				if adv {
-					// 0.5·√n: Theorem 2's T ≤ √n hides the Lemma 12/16
-					// drift constant — at full strength T = 1.0·√n the
-					// balancer's per-round erasure exceeds the CLT kick
-					// (σ ≈ 0.61√n) and the walk cannot escape a perfect
-					// split at finite n. E5 measures that crossover; here
-					// we measure the positive claim.
-					cfg.Adversary = adversary.NewBalancer(adversary.Sqrt(0.5), 1, 2)
-					cfg.AlmostSlack = almostSlack(n)
-				}
-				return float64(consensus.Run(cfg).Rounds)
-			},
+		p := &service.MedianSpec{Init: service.InitSpec{Kind: "twovalue"}, Rule: medianRule, Engine: "twobin"}
+		req := service.BatchRequest{Template: service.Spec{Seed: 101, Payload: p}, Axes: []service.Axis{nAxis(s.Ns...)}}
+		if adv {
+			// 0.5·√n: Theorem 2's T ≤ √n hides the Lemma 12/16 drift
+			// constant — at full strength T = 1.0·√n the balancer's
+			// per-round erasure exceeds the CLT kick (σ ≈ 0.61√n) and the
+			// walk cannot escape a perfect split at finite n. E5 measures
+			// that crossover; here we measure the positive claim.
+			p.Adversary = balancer(adversary.BudgetSpec{Kind: "sqrt", Factor: 0.5})
+			req.Derive = []service.DeriveRule{slackRule}
 		}
-		return experiment.Sweep(task, 101, s.Workers)
+		return s.sweep(req)
 	}
 	noAdv := run(false)
 	withAdv := run(true)
@@ -137,45 +176,24 @@ func E1Fig1TwoBins(s Scale) Report {
 // (Theorem 3). Without adversary we sweep n at m = n (the all-distinct
 // finest state); with adversary we sweep m at the largest n.
 func E2Fig1MBins(s Scale) Report {
-	noAdvTask := experiment.Task{
-		Name: "m-bins-noadv",
-		Keys: []string{"n"},
-		Grid: experiment.Grid1(s.Ns...),
-		Reps: s.Reps,
-		Run: func(p []float64, seed uint64) float64 {
-			n := int(p[0])
-			return float64(consensus.Run(consensus.Config{
-				Values:    consensus.AllDistinct(n),
-				Rule:      rules.Median{},
-				Seed:      seed,
-				MaxRounds: s.MaxRounds,
-				Engine:    consensus.EngineCount,
-			}).Rounds)
-		},
-	}
-	noAdv := experiment.Sweep(noAdvTask, 202, s.Workers)
+	noAdv := s.sweep(service.BatchRequest{
+		Template: service.Spec{Seed: 202, Payload: &service.MedianSpec{
+			Init: service.InitSpec{Kind: "distinct"}, Rule: medianRule, Engine: "count"}},
+		Axes: []service.Axis{nAxis(s.Ns...)},
+	})
 	_, descNo := experiment.DescribeFit(noAdv, experiment.LawLogN)
 
 	nFixed := int(s.Ns[len(s.Ns)-1])
-	advTask := experiment.Task{
-		Name: "m-bins-adv",
-		Keys: []string{"m"},
-		Grid: experiment.Grid1(s.Ms...),
-		Reps: s.Reps,
-		Run: func(p []float64, seed uint64) float64 {
-			m := int(p[0])
-			return float64(consensus.Run(consensus.Config{
-				Values:      consensus.EvenBlocks(nFixed, m),
-				Rule:        rules.Median{},
-				Adversary:   adversary.NewMedianSplitter(adversary.Sqrt(1)),
-				Seed:        seed,
-				MaxRounds:   s.MaxRounds,
-				AlmostSlack: almostSlack(nFixed),
-				Engine:      consensus.EngineCount,
-			}).Rounds)
-		},
-	}
-	adv := experiment.Sweep(advTask, 203, s.Workers)
+	adv := s.sweep(service.BatchRequest{
+		Template: service.Spec{Seed: 203, Payload: &service.MedianSpec{
+			Init:        service.InitSpec{Kind: "evenblocks", N: nFixed},
+			Rule:        medianRule,
+			Adversary:   splitter(),
+			AlmostSlack: almostSlack(nFixed),
+			Engine:      "count",
+		}},
+		Axes: []service.Axis{{Param: "m", Values: s.Ms}},
+	})
 	// Fit rounds against ln m at fixed n (the log m·log log n term).
 	xs := make([]float64, len(adv))
 	ys := make([]float64, len(adv))
@@ -206,23 +224,13 @@ func E2Fig1MBins(s Scale) Report {
 // the rate — Θ(log n) for even m versus O(log m + log log n) for odd m.
 func E3Fig1AvgCase(s Scale) Report {
 	run := func(m int) []experiment.Cell {
-		task := experiment.Task{
-			Name: fmt.Sprintf("avg-m%d", m),
-			Keys: []string{"n"},
-			Grid: experiment.Grid1(s.Ns...),
-			Reps: s.Reps,
-			Run: func(p []float64, seed uint64) float64 {
-				n := int(p[0])
-				return float64(consensus.Run(consensus.Config{
-					Values:    consensus.UniformRandom(n, m, seed^0x9E37),
-					Rule:      rules.Median{},
-					Seed:      seed,
-					MaxRounds: s.MaxRounds,
-					Engine:    consensus.EngineCount,
-				}).Rounds)
-			},
-		}
-		return experiment.Sweep(task, uint64(300+m), s.Workers)
+		// The batch gives the uniform init each run's own seed, so every
+		// repetition draws a fresh initial state.
+		return s.sweep(service.BatchRequest{
+			Template: service.Spec{Seed: uint64(300 + m), Payload: &service.MedianSpec{
+				Init: service.InitSpec{Kind: "uniform", M: m}, Rule: medianRule, Engine: "count"}},
+			Axes: []service.Axis{nAxis(s.Ns...)},
+		})
 	}
 	odd := run(15)
 	even := run(16)
@@ -248,25 +256,12 @@ func E3Fig1AvgCase(s Scale) Report {
 // E4ConstantValues reproduces Theorem 2: a constant number of different
 // values plus a sqrt(n)-bounded adversary still gives O(log n).
 func E4ConstantValues(s Scale) Report {
-	task := experiment.Task{
-		Name: "const-values",
-		Keys: []string{"n", "m"},
-		Grid: experiment.Grid2(s.Ns, []float64{2, 3, 5}),
-		Reps: s.Reps,
-		Run: func(p []float64, seed uint64) float64 {
-			n, m := int(p[0]), int(p[1])
-			return float64(consensus.Run(consensus.Config{
-				Values:      consensus.EvenBlocks(n, m),
-				Rule:        rules.Median{},
-				Adversary:   adversary.NewMedianSplitter(adversary.Sqrt(1)),
-				Seed:        seed,
-				MaxRounds:   s.MaxRounds,
-				AlmostSlack: almostSlack(n),
-				Engine:      consensus.EngineCount,
-			}).Rounds)
-		},
-	}
-	cells := experiment.Sweep(task, 404, s.Workers)
+	cells := s.sweep(service.BatchRequest{
+		Template: service.Spec{Seed: 404, Payload: &service.MedianSpec{
+			Init: service.InitSpec{Kind: "evenblocks"}, Rule: medianRule, Adversary: splitter(), Engine: "count"}},
+		Axes:   []service.Axis{nAxis(s.Ns...), {Param: "m", Values: []float64{2, 3, 5}}},
+		Derive: []service.DeriveRule{slackRule},
+	})
 	// Fit per-m slope in ln n.
 	var verdicts []string
 	for _, m := range []float64{2, 3, 5} {
@@ -296,30 +291,16 @@ func E4ConstantValues(s Scale) Report {
 func E5LowerBound(s Scale) Report {
 	n := int(s.Ns[len(s.Ns)-1])
 	cap := s.MaxRounds
-	run := func(budget adversary.BudgetFunc) []experiment.Cell {
-		task := experiment.Task{
-			Name: "lower-bound",
-			Keys: []string{"n"},
-			Grid: experiment.Grid1(float64(n)),
-			Reps: s.Reps,
-			Run: func(p []float64, seed uint64) float64 {
-				nn := int(p[0])
-				res := consensus.Run(consensus.Config{
-					Values:      consensus.TwoValue(nn, nn/2, 1, 2),
-					Rule:        rules.Median{},
-					Adversary:   adversary.NewBalancer(budget, 1, 2),
-					Seed:        seed,
-					MaxRounds:   cap,
-					AlmostSlack: almostSlack(nn),
-					Engine:      consensus.EngineTwoBin,
-				})
-				return float64(res.Rounds)
-			},
-		}
-		return experiment.Sweep(task, 505, s.Workers)
+	run := func(budget adversary.BudgetSpec) []experiment.Cell {
+		return s.sweep(service.BatchRequest{
+			Template: service.Spec{Seed: 505, Payload: &service.MedianSpec{
+				Init: service.InitSpec{Kind: "twovalue"}, Rule: medianRule, Adversary: balancer(budget), Engine: "twobin"}},
+			Axes:   []service.Axis{nAxis(float64(n))},
+			Derive: []service.DeriveRule{slackRule},
+		})
 	}
-	weak := run(adversary.Sqrt(0.5))
-	strong := run(adversary.SqrtLog(2))
+	weak := run(adversary.BudgetSpec{Kind: "sqrt", Factor: 0.5})
+	strong := run(adversary.BudgetSpec{Kind: "sqrtlog", Factor: 2})
 	stalled := 0
 	for _, r := range strong[0].Raw {
 		if int(r) >= cap {

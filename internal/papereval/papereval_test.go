@@ -1,11 +1,13 @@
 package papereval
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/assign"
 	"repro/internal/model"
+	"repro/service"
 )
 
 // Tiny is an even smaller scale so the experiment definitions themselves are
@@ -94,6 +96,26 @@ func TestCoupledRunPointwise(t *testing.T) {
 	}
 	if cr > fr {
 		t.Fatalf("coarse (%d) converged after fine (%d)", cr, fr)
+	}
+}
+
+// TestSweepDeterministicAcrossWorkers: a sweep's cells depend on the batch
+// alone — the local executor's worker count changes only the scheduling.
+func TestSweepDeterministicAcrossWorkers(t *testing.T) {
+	req := service.BatchRequest{
+		Template: service.Spec{Seed: 404, Payload: &service.MedianSpec{
+			Init: service.InitSpec{Kind: "evenblocks"}, Rule: medianRule, Adversary: splitter(), Engine: "count"}},
+		Axes:   []service.Axis{nAxis(tiny.Ns...), {Param: "m", Values: []float64{2, 3}}},
+		Derive: []service.DeriveRule{slackRule},
+	}
+	one, four := tiny, tiny
+	one.Workers, four.Workers = 1, 4
+	a, b := one.sweep(req), four.sweep(req)
+	if len(a) != 2*len(tiny.Ns) {
+		t.Fatalf("%d cells, want %d", len(a), 2*len(tiny.Ns))
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("cells differ across worker counts:\n1 worker:  %+v\n4 workers: %+v", a, b)
 	}
 }
 

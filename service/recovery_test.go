@@ -114,6 +114,21 @@ func getMetrics(t *testing.T, url string) service.MetricsSnapshot {
 	return m
 }
 
+// waitAppended polls the metrics until the store has appended want runs. A
+// run turns done before its write-through to the store, so the count can
+// trail a run the caller has already seen finish.
+func waitAppended(t *testing.T, url string, want int64) service.MetricsSnapshot {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		m := getMetrics(t, url)
+		if m.StoreRecordsAppended >= want || time.Now().After(deadline) {
+			return m
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // TestCrashRecoveryE2E is the acceptance test for the persistent store:
 // submit one run per kind against a file-backed service, stop it, reopen
 // a fresh service on the same path, and require that resubmitting the
@@ -187,7 +202,7 @@ func populateAndRestart(t *testing.T, storePath string) [][]byte {
 			t.Fatalf("run %d streamed nothing", i)
 		}
 	}
-	m := getMetrics(t, ts.URL)
+	m := waitAppended(t, ts.URL, int64(len(recoverySpecs)))
 	if m.StoreRecordsAppended != int64(len(recoverySpecs)) {
 		t.Fatalf("store_records_appended = %d, want %d", m.StoreRecordsAppended, len(recoverySpecs))
 	}
@@ -352,7 +367,7 @@ func TestRetentionRestartE2E(t *testing.T) {
 		}
 		waitTerminal(t, ts.URL, view.ID)
 	}
-	if m = getMetrics(t, ts.URL); m.StoreRecordsAppended != dropped {
+	if m = waitAppended(t, ts.URL, dropped); m.StoreRecordsAppended != dropped {
 		t.Fatalf("store_records_appended = %d after re-runs, want %d", m.StoreRecordsAppended, dropped)
 	}
 	// The re-run appends overflow the budget and kick background GC. Its

@@ -480,10 +480,9 @@ func (s *Service) submit(spec Spec, reqID string) (*Job, JobView, error) {
 		s.metrics.jobsCompleted.Add(1)
 	} else {
 		// Reject before touching counters or IDs so a shed request
-		// leaves no trace in the metrics.
-		select {
-		case s.queue <- j:
-		default:
+		// leaves no trace in the metrics. Every send to the queue holds
+		// s.mu, so a free slot now stays free for the send below.
+		if len(s.queue) == cap(s.queue) {
 			s.mu.Unlock()
 			return nil, JobView{}, ErrQueueFull
 		}
@@ -495,12 +494,18 @@ func (s *Service) submit(spec Spec, reqID string) (*Job, JobView, error) {
 	s.metrics.jobsSubmitted.Add(1)
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	s.evictLocked()
-	s.mu.Unlock()
+	// The job is complete and announced before a worker can receive it, so
+	// the worker reads a set id and job.submitted precedes job.started.
 	s.bus.Publish(obs.Event{
 		Type: "job.submitted", Job: j.id, Kind: spec.Kind,
 		SpecHash: hash, RequestID: reqID,
 	})
+	if !j.cacheHit {
+		s.queue <- j
+	}
+	// Pruning the history scans every job; the worker need not wait for it.
+	s.evictLocked()
+	s.mu.Unlock()
 	if j.cacheHit {
 		s.bus.Publish(obs.Event{
 			Type: "job.done", Job: j.id, Kind: spec.Kind, SpecHash: hash,
@@ -701,11 +706,11 @@ func (s *Service) worker() {
 // finish moves a job to a terminal state, records its lifecycle timing,
 // and, for successful runs, stores the result in the cache.
 func (s *Service) finish(j *Job, st Status, res *RunResult, errMsg string) {
+	finished := time.Now()
 	j.mu.Lock()
-	j.status = st
-	j.finished = time.Now()
 	records, truncated := j.records, j.truncated
-	created, started, finished := j.created, j.started, j.finished
+	created, started := j.created, j.started
+	j.mu.Unlock()
 	// The timing breakdown is attached before the result is shared with
 	// the view, the cache and the store, so every copy carries it.
 	if res != nil {
@@ -720,14 +725,15 @@ func (s *Service) finish(j *Job, st Status, res *RunResult, errMsg string) {
 			timing.RoundsPerSec = float64(res.Rounds) / timing.RunSeconds
 		}
 		res.Timing = timing
+		// Cache before the job turns terminal: a resubmission that sees it
+		// done skips its pending entry and must then hit the cache.
+		s.cache.put(j.hash, &cacheEntry{result: *res, records: records, truncated: truncated})
 	}
-	j.result = res
-	j.errMsg = errMsg
-	j.wake()
-	j.mu.Unlock()
 
 	// Latency observations: queue wait for anything a worker picked up,
-	// run duration and rounds only for runs that actually executed.
+	// run duration and rounds only for runs that actually executed. They
+	// too precede the status change, so a caller that sees the job
+	// terminal reads metrics that count it.
 	kind := j.spec.Kind
 	if !started.IsZero() {
 		s.metrics.queueWait.ObserveDuration(started.Sub(created))
@@ -738,10 +744,26 @@ func (s *Service) finish(j *Job, st Status, res *RunResult, errMsg string) {
 		elapsed = finished.Sub(started).Seconds()
 		s.metrics.runDuration.With(kind).ObserveDuration(finished.Sub(started))
 		s.metrics.roundsPerRun.With(kind).Observe(int64(res.Rounds))
-		// Cache before clearing the pending entry: a concurrent Submit
-		// that misses the pending map must then hit the cache.
-		s.cache.put(j.hash, &cacheEntry{result: *res, records: records, truncated: truncated})
 		s.metrics.jobsCompleted.Add(1)
+	case StatusFailed:
+		elapsed = finished.Sub(started).Seconds()
+		s.metrics.jobsFailed.Add(1)
+	case StatusCancelled:
+		if !started.IsZero() {
+			elapsed = finished.Sub(started).Seconds()
+		}
+		s.metrics.jobsCancelled.Add(1)
+	}
+
+	j.mu.Lock()
+	j.status = st
+	j.finished = finished
+	j.result = res
+	j.errMsg = errMsg
+	j.wake()
+	j.mu.Unlock()
+
+	if st == StatusDone {
 		// Write through to the persistent store. A write failure must not
 		// fail the job — the result is correct and cached — so it is only
 		// counted (store_append_errors in /v1/metrics) and surfaced as a
@@ -757,14 +779,6 @@ func (s *Service) finish(j *Job, st Status, res *RunResult, errMsg string) {
 		} else if _, inMemory := s.store.(nullStore); !inMemory {
 			s.bus.Publish(obs.Event{Type: "store.appended", Job: j.id, SpecHash: j.hash})
 		}
-	case StatusFailed:
-		elapsed = finished.Sub(started).Seconds()
-		s.metrics.jobsFailed.Add(1)
-	case StatusCancelled:
-		if !started.IsZero() {
-			elapsed = finished.Sub(started).Seconds()
-		}
-		s.metrics.jobsCancelled.Add(1)
 	}
 	s.bus.Publish(obs.Event{
 		Type: "job." + string(st), Job: j.id, Kind: kind, SpecHash: j.hash,

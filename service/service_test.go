@@ -2,6 +2,7 @@ package service
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -418,6 +419,98 @@ func TestCoalesceInFlight(t *testing.T) {
 	}
 	waitDone(t, s, first.ID)
 	waitDone(t, s, third.ID)
+}
+
+// TestCachedBeforeDone: a run is in the result cache before its job turns
+// terminal, so a resubmission the moment a waiter sees the job finish is a
+// cache hit every time — never a miss that runs the spec again.
+func TestCachedBeforeDone(t *testing.T) {
+	s := newTestService(t, Options{Workers: 2, CacheSize: 4096})
+	defer s.Close()
+	// Several submitters at once keep Ps idle, so a woken waiter can run
+	// before the finishing worker goes on.
+	const submitters, each = 4, 250
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				spec := Spec{Seed: uint64(g*each + i + 1), Payload: &MedianSpec{
+					Init: InitSpec{Kind: "twovalue", N: 50},
+					Rule: RuleSpec{Name: "median"},
+				}}
+				v, err := s.Submit(spec)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for {
+					_, terminal, notify, err := s.Records(v.ID, 0)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if terminal {
+						break
+					}
+					<-notify
+				}
+				again, err := s.Submit(spec)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !again.CacheHit {
+					t.Errorf("resubmission of %s right after done missed the cache: %+v", v.ID, again)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestJobEventsInOrder: each job's events reach a subscriber in lifecycle
+// order — job.submitted, then job.started, then job.done — even when a
+// worker picks the job up the moment it is queued.
+func TestJobEventsInOrder(t *testing.T) {
+	s := newTestService(t, Options{Workers: 2})
+	defer s.Close()
+	const jobs = 200
+	// Room for every lifecycle event of every job: a drop would read as a
+	// missing step.
+	sub := s.Events(4*jobs, 0)
+	defer sub.Close()
+	for i := 0; i < jobs; i++ {
+		if _, err := s.Submit(Spec{Seed: uint64(i + 1), Payload: &MedianSpec{
+			Init: InitSpec{Kind: "twovalue", N: 50},
+			Rule: RuleSpec{Name: "median"},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step := map[string]int{"job.submitted": 1, "job.started": 2, "job.done": 3}
+	reached := map[string]int{}
+	timeout := time.After(30 * time.Second)
+	for done := 0; done < jobs; {
+		select {
+		case ev := <-sub.C:
+			n, lifecycle := step[ev.Type]
+			if !lifecycle {
+				continue
+			}
+			if reached[ev.Job] != n-1 {
+				t.Fatalf("job %s: %s arrived after step %d", ev.Job, ev.Type, reached[ev.Job])
+			}
+			reached[ev.Job] = n
+			if n == 3 {
+				done++
+			}
+		case <-timeout:
+			t.Fatalf("%d of %d jobs finished in order before the timeout", done, jobs)
+		}
+	}
 }
 
 // TestSubmitPopulationLimit rejects specs beyond the MaxN admission bound.
