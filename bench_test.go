@@ -676,15 +676,23 @@ func BenchmarkCountInit(b *testing.B) {
 
 // BenchmarkCountRound measures the steady-state per-round cost of the
 // count engines under a noise adversary (so the chain never absorbs and
-// every iteration does a full round's work). The headline is the
-// allocs/op column: zero, whatever n — the round loops reuse engine-owned
-// scratch (TestCountEngineStepAllocs and TestCountEngineRoundAllocs pin
-// this as a regression). The scalar engine samples per ball — Θ(n) work
-// per round, so it stops at 10⁷ — while the multidim engine's
-// block-multinomial mode is O(k³) independent of n and runs the
-// acceptance scale 10⁹ directly.
+// every iteration does a full round's work). Both engines move each live
+// value's balls with one multinomial over its exact transition row
+// (randx.Rows), so a round costs O(k^(s+1)) whatever n is — the scalar
+// and multidim rows run n up to the acceptance scale 10⁹ — and the
+// allocs/op column is zero: the round loops reuse engine-owned scratch
+// (TestCountEngineStepAllocs and TestCountEngineRoundAllocs pin this as a
+// regression).
+//
+// The switch rows time one round from an even 16-value (scalar) or
+// 16-tuple (multidim) median distribution on either side of the engines'
+// per-ball/rows switch at n = k³ (randx.RowsCheaper): n = 4095 samples
+// every ball, n = 4096 runs the rows, and the two should cost about the
+// same. Engine set-up runs with the timer stopped; the scalar rows build
+// a fresh engine per round, so their allocs are its first-round
+// workspace growth.
 func BenchmarkCountRound(b *testing.B) {
-	for _, n := range []int{100_000, 10_000_000} {
+	for _, n := range []int{100_000, 10_000_000, 1_000_000_000} {
 		b.Run(fmt.Sprintf("scalar/n=%.0e", float64(n)), func(b *testing.B) {
 			d := assign.Dist{Vals: []core.Value{1, 2, 3, 4, 5}, Counts: []int64{int64(n) / 5, int64(n) / 5, int64(n) / 5, int64(n) / 5, int64(n) - 4*(int64(n)/5)}}
 			eng := core.NewCountEngineDist(d, rules.Median{}, adversary.NewRandomNoise(adversary.Fixed(2)), 1, core.Options{})
@@ -703,6 +711,41 @@ func BenchmarkCountRound(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				eng.Step()
+			}
+		})
+	}
+	const k = 16
+	for _, sw := range []struct {
+		n    int64
+		mode string
+	}{{k*k*k - 1, "sampled"}, {k * k * k, "rows"}} {
+		vals := make([]core.Value, k)
+		tuples := make([]multidim.Point, k)
+		counts := make([]int64, k)
+		for i := range vals {
+			vals[i] = core.Value(i + 1)
+			tuples[i] = multidim.Point{int64(i / 4), int64(i % 4)}
+			counts[i] = sw.n / k
+		}
+		counts[0] += sw.n - k*(sw.n/k)
+		b.Run(fmt.Sprintf("switch/scalar/k=%d/n=%d-%s", k, sw.n, sw.mode), func(b *testing.B) {
+			d := assign.Dist{Vals: vals, Counts: counts}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				eng := core.NewCountEngineDist(d, rules.Median{}, nil, uint64(i), core.Options{})
+				b.StartTimer()
+				eng.Step()
+			}
+		})
+		b.Run(fmt.Sprintf("switch/multidim/k=%d/n=%d-%s", k, sw.n, sw.mode), func(b *testing.B) {
+			eng := multidim.NewCountEngineDist(tuples, counts, nil, 1, multidim.CountOptions{})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				eng.Reset(tuples, counts)
+				b.StartTimer()
 				eng.Step()
 			}
 		})

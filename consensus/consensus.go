@@ -27,7 +27,10 @@
 //
 //   - EngineBall: exact per-process simulation (supports every adversary
 //     hook, observers, parallel execution).
-//   - EngineCount: distribution-level simulation, O(m) memory.
+//   - EngineCount: distribution-level simulation, O(k) memory for k live
+//     values. Each round moves every value's processes with one exact
+//     multinomial over its transition row, O(k^(s+1)) for s samples per
+//     process whatever n is; large supports sample per process.
 //   - EngineTwoBin: exact binomial-update simulation for two-value states,
 //     O(1) memory per round — usable with n up to 2^62.
 //   - EngineGossip: full message-passing simulation of the paper's network
@@ -82,7 +85,8 @@ const (
 	EngineAuto Engine = iota
 	// EngineBall is the exact per-process engine.
 	EngineBall
-	// EngineCount is the distribution-level engine.
+	// EngineCount is the distribution-level engine: exact transition-row
+	// rounds independent of n (per-process sampling for large support).
 	EngineCount
 	// EngineTwoBin is the exact binomial two-value engine.
 	EngineTwoBin

@@ -8,6 +8,7 @@ import (
 	"repro/consensus"
 	"repro/engine"
 	"repro/internal/exact"
+	"repro/internal/randx"
 	"repro/rules"
 )
 
@@ -134,6 +135,18 @@ func TestDifferentialAbsorptionCDF(t *testing.T) {
 				t.Errorf("%s CDF at round %d: empirical %0.4f outside exact %0.4f ± %0.4f",
 					engineName, probe, got, want, band)
 			}
+		}
+	}
+}
+
+// TestDifferentialCountFixturesRunRows: the count engine's runs above
+// must exercise its transition-row round (randx.Rows), not per-ball
+// sampling. A twovalue median run has at most k = 2 live values and
+// s = 2 samples per ball.
+func TestDifferentialCountFixturesRunRows(t *testing.T) {
+	for _, n := range []int64{timeN, winN} {
+		if !randx.RowsCheaper(n, 2, 2) {
+			t.Errorf("count fixture n = %d samples every ball instead of running the rows", n)
 		}
 	}
 }

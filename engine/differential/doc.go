@@ -9,7 +9,8 @@
 // the chain, so its rounds-to-consensus is a draw of the chain's
 // absorption time and its winner a Bernoulli draw of the chain's win
 // probability. The suite runs fixed-seed trial batches of each count-level
-// engine (twobin, count) through engine.Execute and requires:
+// engine (twobin, and count on its transition-row round) through
+// engine.Execute and requires:
 //
 //   - the mean absorption time within a 5σ band of the exact expectation,
 //   - the win rate within a 5σ band of the exact win probability,

@@ -44,7 +44,8 @@ type Record struct {
 	Leader      int64 `json:"leader"`
 	LeaderCount int64 `json:"leader_count"`
 	// LeaderPoint is the plurality tuple of a multidim run (Leader is 0).
-	LeaderPoint []int64 `json:"leader_point,omitempty"`
+	// A pointer, so scalar records do not carry a slice header for it.
+	LeaderPoint *[]int64 `json:"leader_point,omitempty"`
 	// Absorbed is the exact kind's analytic telemetry: the probability
 	// that the chain has reached consensus (been absorbed) by this round —
 	// the absorption CDF at Round. Simulation kinds leave it zero.

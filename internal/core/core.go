@@ -18,9 +18,12 @@
 //     per-shard RNG streams.
 //   - CountEngine — exploits exchangeability: a ball's update depends only
 //     on its own value and the value *distribution*, so the state is the
-//     count vector. Sampling uses an alias table: O(n·s) time but O(m)
-//     memory for m distinct values. Statistically identical to BallEngine
-//     (see the equivalence tests).
+//     count vector, O(k) memory for k live values. A round moves each
+//     value's balls with one exact multinomial over its transition row
+//     (randx.Rows): k^(s+1) rule calls, independent of n. For large
+//     support it samples every ball from an alias table instead, O(n·s).
+//     Both are distributed exactly like BallEngine (see the exactness and
+//     equivalence tests).
 //   - TwoBinEngine — the Section 3 two-bin case at count level with exact
 //     binomial round updates: L_{t+1} ~ Bin(L, 1−(1−p)²) + Bin(n−L, p²),
 //     p = L/n. O(1) memory and O(1) sampling per round, enabling the
@@ -384,9 +387,10 @@ func (e *BallEngine) distInto(counts map[Value]int64) ([]Value, []int64) {
 }
 
 // CountEngine simulates the process at the level of the value distribution.
-// Its round workspaces (weights, alias table, accumulator map, sample
-// buffer) are engine-owned and reused across rounds, so a steady-state
-// round performs zero heap allocations (see TestCountEngineStepAllocs).
+// Its round workspaces (transition rows, weights, alias table, accumulator
+// map, sample buffer) are engine-owned and reused across rounds, so a
+// steady-state round performs zero heap allocations (see
+// TestCountEngineRoundAllocs).
 type CountEngine struct {
 	vals    []Value
 	counts  []int64
@@ -400,9 +404,15 @@ type CountEngine struct {
 	// acc accumulates the next round's distribution.
 	acc map[Value]int64
 	// Round workspaces, retained across rounds.
+	rows    randx.Rows
 	weights []float64
 	alias   randx.Alias
 	sampled []Value
+	// extra numbers the values a transition-row round produces outside the
+	// live set (rules such as mean create values): output bin len(vals)+i
+	// is extraVals[i].
+	extra     map[Value]int32
+	extraVals []Value
 }
 
 // NewCountEngine builds a count-level engine from the initial configuration.
@@ -445,6 +455,8 @@ func NewCountEngineDist(d assign.Dist, rule model.Rule, adv model.Adversary, see
 		g:       rng.NewXoshiro256(seed),
 		allowed: append([]Value(nil), d.Vals...),
 		acc:     make(map[Value]int64, len(d.Vals)),
+		extra:   make(map[Value]int32),
+		sampled: make([]Value, rule.Samples()),
 	}
 }
 
@@ -466,7 +478,19 @@ func (e *CountEngine) Step() {
 			e.prune()
 		}
 	}
-	e.stepSampled()
+	// Consensus is a fixed point for every sampled rule: skip the update
+	// (and its randomness).
+	if len(e.vals) > 1 {
+		clear(e.acc)
+		if s := e.rule.Samples(); randx.RowsCheaper(e.n, len(e.vals), s) {
+			clear(e.extra)
+			e.extraVals = e.extraVals[:0]
+			e.rows.Round(e.g, e.counts, s, (*countRows)(e))
+		} else {
+			e.stepSampled()
+		}
+		e.commit()
+	}
 	if e.adv != nil && e.opts.Timing == AfterChoices {
 		if ca, ok := e.adv.(model.CountAdversary); ok {
 			e.vals, e.counts = ca.CorruptCounts(e.round, e.vals, e.counts, e.allowed, e.g)
@@ -476,38 +500,36 @@ func (e *CountEngine) Step() {
 	e.round++
 }
 
-// stepSampled draws every ball's peers from the current distribution via an
-// alias table and accumulates the next distribution. Every buffer it
-// touches is engine-owned and reused, so steady-state rounds allocate
-// nothing (median-like rules only ever produce already-seen values, so the
-// accumulator map stops growing after the first round).
+// stepSampled draws every ball's peers from the current distribution via
+// an alias table and accumulates the next distribution into acc: the
+// per-ball round, O(n·s), for supports too large for transition rows.
+// Every buffer it touches is engine-owned and reused, so steady-state
+// rounds allocate nothing (median-like rules only ever produce
+// already-seen values, so the accumulator map stops growing after the
+// first round).
 //
 //consensus:hotpath
 func (e *CountEngine) stepSampled() {
-	if len(e.vals) == 1 {
-		return // consensus is a fixed point for every sampled rule
-	}
 	e.weights = e.weights[:0]
 	for _, k := range e.counts {
 		e.weights = append(e.weights, float64(k))
 	}
 	e.alias.Rebuild(e.weights)
-	s := e.rule.Samples()
-	if cap(e.sampled) < s {
-		e.sampled = make([]Value, s)
-	}
-	sampled := e.sampled[:s]
-	clear(e.acc)
 	for bi, cnt := range e.counts {
 		own := e.vals[bi]
 		for b := int64(0); b < cnt; b++ {
-			for k := 0; k < s; k++ {
-				sampled[k] = e.vals[e.alias.Draw(e.g)]
+			for k := range e.sampled {
+				e.sampled[k] = e.vals[e.alias.Draw(e.g)]
 			}
-			e.acc[e.rule.Update(own, sampled)]++
+			e.acc[e.rule.Update(own, e.sampled)]++
 		}
 	}
-	// Rebuild sorted vectors.
+}
+
+// commit rebuilds the sorted (vals, counts) vectors from acc.
+//
+//consensus:hotpath
+func (e *CountEngine) commit() {
 	e.vals = e.vals[:0]
 	for v := range e.acc {
 		e.vals = append(e.vals, v)
@@ -516,6 +538,53 @@ func (e *CountEngine) stepSampled() {
 	e.counts = e.counts[:0]
 	for _, v := range e.vals {
 		e.counts = append(e.counts, e.acc[v])
+	}
+}
+
+// countRows is the CountEngine seen as a randx.RowRule: output bins are
+// live-value indices, then extraVals.
+type countRows CountEngine
+
+// Next implements randx.RowRule.
+//
+//consensus:hotpath
+func (r *countRows) Next(own int, sample []int32) int32 {
+	e := (*CountEngine)(r)
+	for i, w := range sample {
+		e.sampled[i] = e.vals[w]
+	}
+	u := e.rule.Update(e.vals[own], e.sampled)
+	// Most rules return one of their inputs; look there before searching
+	// (by index: a rule may reorder the sampled slice).
+	if u == e.vals[own] {
+		return int32(own)
+	}
+	for _, w := range sample {
+		if u == e.vals[w] {
+			return w
+		}
+	}
+	if i, ok := slices.BinarySearch(e.vals, u); ok {
+		return int32(i)
+	}
+	id, ok := e.extra[u]
+	if !ok {
+		id = int32(len(e.vals) + len(e.extraVals))
+		e.extra[u] = id
+		e.extraVals = append(e.extraVals, u)
+	}
+	return id
+}
+
+// Move implements randx.RowRule.
+//
+//consensus:hotpath
+func (r *countRows) Move(to int32, c int64) {
+	e := (*CountEngine)(r)
+	if int(to) < len(e.vals) {
+		e.acc[e.vals[to]] += c
+	} else {
+		e.acc[e.extraVals[int(to)-len(e.vals)]] += c
 	}
 }
 

@@ -575,21 +575,32 @@ func TestCountEnginePanicsOnEmpty(t *testing.T) {
 }
 
 // TestCountEngineRoundAllocs pins the count engine's zero-allocation round
-// loop: once every engine-owned workspace (weights, alias table,
-// accumulator map, sample buffer, sorted vectors) has been warmed, a
-// steady-state round — including a count-level adversary that keeps the
-// chain from absorbing — must not touch the heap.
+// loop in both update regimes — the transition rows (n ≥ k³) and per-ball
+// sampling (small n): once every engine-owned workspace (rows, weights,
+// alias table, accumulator map, sample buffer, sorted vectors) has been
+// warmed, a steady-state round — including a count-level adversary that
+// keeps the chain from absorbing — must not touch the heap.
 func TestCountEngineRoundAllocs(t *testing.T) {
-	d := assign.Dist{
-		Vals:   []Value{1, 2, 3, 4, 5},
-		Counts: []int64{2000, 2000, 2000, 2000, 2000},
-	}
-	eng := NewCountEngineDist(d, rules.Median{}, adversary.NewRandomNoise(adversary.Fixed(4)), 1, Options{})
-	for i := 0; i < 8; i++ {
-		eng.Step()
-	}
-	if avg := testing.AllocsPerRun(50, func() { eng.Step() }); avg != 0 {
-		t.Fatalf("steady-state count round allocates (%v allocs/round)", avg)
+	for _, tc := range []struct {
+		name string
+		per  int64
+	}{
+		{"rows", 2000}, // n = 10⁴ ≥ k³ = 125
+		{"sampled", 1}, // n = 5 < 2³: never rows
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := assign.Dist{
+				Vals:   []Value{1, 2, 3, 4, 5},
+				Counts: []int64{tc.per, tc.per, tc.per, tc.per, tc.per},
+			}
+			eng := NewCountEngineDist(d, rules.Median{}, adversary.NewRandomNoise(adversary.Fixed(4)), 1, Options{})
+			for i := 0; i < 8; i++ {
+				eng.Step()
+			}
+			if avg := testing.AllocsPerRun(50, func() { eng.Step() }); avg != 0 {
+				t.Fatalf("steady-state count round allocates (%v allocs/round)", avg)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,9 @@
 // Package randx implements the non-uniform random variates needed by the
 // count-level simulation engines: exact binomial sampling, geometric and
-// multinomial variates, and Walker's alias method for sampling from an
-// arbitrary discrete distribution in O(1) per draw.
+// multinomial variates, Walker's alias method for sampling from an
+// arbitrary discrete distribution in O(1) per draw, and the transition-row
+// round (Rows) both count engines use to move every value's balls with one
+// multinomial per round.
 //
 // Why this exists. The per-ball engine in internal/core costs Θ(n) random
 // index pairs per round. For the paper's two-bin analysis (Section 3) the
@@ -11,7 +13,8 @@
 //
 // so one round costs two binomial draws regardless of n. That lets the
 // lower-bound experiments (balancing adversary, Theorem 10 tightness) run at
-// n = 10^9 and beyond. Exactness matters: the experiments measure tail
+// n = 10^9 and beyond. Rows generalizes the same update to k values and any
+// rule: one multinomial per live value over its exact transition row. Exactness matters: the experiments measure tail
 // events (Lemmas 14, 15), so a normal approximation to the binomial would
 // bias exactly the quantity under study. We therefore implement
 //

@@ -2,7 +2,6 @@ package multidim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/randx"
@@ -22,24 +21,25 @@ import (
 // Two exact round updates share one trajectory distribution with the
 // per-process engine:
 //
+//   - Transition rows (randx.Rows): for each live tuple v the engine sums
+//     the probability of every ordered peer pair (a, b) into the row
+//     P(v→CoordMedian(v, a, b)) and moves v's balls with one exact
+//     multinomial over that row. This is distributed exactly like
+//     per-ball sampling but costs O(k³) median calls and k multinomials,
+//     independent of n. This is what makes n = 10⁹ rounds run in
+//     microseconds.
 //   - Per-ball sampling: every ball draws its two peers independently and
 //     uniformly from the pre-round distribution (with replacement) via an
 //     alias table, two draws per ball per round, just as Engine.Step draws
-//     two uniform indices. O(n) time per round.
-//   - Block multinomial: each bin's count is split over the first sampled
-//     peer with one exact randx.Multinomial draw, each block again over the
-//     second peer, and every (own, a, b) group moves to CoordMedian(own,
-//     a, b) in one shot. The two-stage conditional split is exactly the
-//     joint multinomial over ordered peer pairs, so the round update is
-//     distributed identically to per-ball sampling — but costs O(k³)
-//     binomial draws, independent of n. This is what makes n = 10⁹ rounds
-//     run in microseconds.
+//     two uniform indices. O(n) time per round, for supports too large for
+//     the rows.
 //
-// The engine picks the cheaper mode each round from (n, live support) —
-// a deterministic function of the trajectory, so runs stay reproducible —
-// and both modes accumulate into engine-owned reusable workspaces (slot
-// store, weights, alias table, multinomial blocks), so a steady-state
-// round performs zero heap allocations (see TestCountEngineStepAllocs).
+// The engine picks the cheaper mode each round from (n, live support) via
+// randx.RowsCheaper — a deterministic function of the trajectory, so runs
+// stay reproducible — and both modes accumulate into engine-owned reusable
+// workspaces (slot store, transition rows, weights, alias table), so a
+// steady-state round performs zero heap allocations (see
+// TestCountEngineStepAllocs).
 
 // CountAdversary is the count-level T-bounded adversary contract: the
 // d-dimensional analogue of model.CountAdversary. CorruptCounts may move up
@@ -67,12 +67,6 @@ type CountOptions struct {
 	// free to reuse them); observers must copy what they keep.
 	Observer func(round int, tuples []Point, counts []int64)
 }
-
-// blockRoundFactor weighs the block-multinomial round (≤ k² multinomial
-// splits, each O(k) binomial draws) against per-ball sampling (n alias
-// pairs): one binomial draw plus the block bookkeeping costs roughly this
-// many alias draws, so blocks win once n exceeds blockRoundFactor·k³.
-const blockRoundFactor = 32
 
 // CountEngine runs the coordinate-wise median dynamics on the tuple
 // distribution. Adversaries run at count level through the CountAdversary
@@ -102,12 +96,12 @@ type CountEngine struct {
 	tch   []int32          // slots with nxt > 0, in first-touch order
 
 	// Round workspaces.
-	weights    []float64 // parallel to live
-	alias      randx.Alias
-	out1, out2 []int64 // multinomial blocks, parallel to live
-	scratch    Point
-	keyBuf     []byte
-	sorter     slotSorter
+	rows    randx.Rows
+	weights []float64 // parallel to live
+	alias   randx.Alias
+	scratch Point
+	keyBuf  []byte
+	sorter  slotSorter
 
 	// Flattened live views (observer, adversary, Dist).
 	viewTuples []Point
@@ -356,8 +350,9 @@ func (e *CountEngine) Step() {
 		// Single-tuple states are a fixed point of the median dynamics;
 		// skip the update (and its randomness) exactly like the scalar
 		// count engine.
-		if float64(e.n) >= blockRoundFactor*math.Pow(float64(len(e.live)), 3) {
-			e.stepBlocks()
+		if randx.RowsCheaper(e.n, len(e.live), 2) {
+			e.refreshViews()
+			e.rows.Round(e.g, e.viewCounts, 2, (*countRows)(e))
 		} else {
 			e.stepSampled()
 		}
@@ -404,38 +399,33 @@ func (e *CountEngine) stepSampled() {
 	}
 }
 
-// stepBlocks is the block-multinomial round: split each bin over the first
-// peer with one exact multinomial draw, each block over the second peer,
-// and move every (own, a, b) group at once. O(k³) time, independent of n.
+// countRows is the CountEngine seen as a randx.RowRule over its live
+// slots: output bins are slots.
+type countRows CountEngine
+
+// Next implements randx.RowRule.
 //
 //consensus:hotpath
-func (e *CountEngine) stepBlocks() {
-	e.rebuildWeights()
-	k := len(e.live)
-	if cap(e.out1) < k {
-		e.out1 = make([]int64, k)
-		e.out2 = make([]int64, k)
+func (r *countRows) Next(own int, sample []int32) int32 {
+	e := (*CountEngine)(r)
+	so, sa, sb := e.live[own], e.live[sample[0]], e.live[sample[1]]
+	CoordMedian(e.scratch, e.reps[so], e.reps[sa], e.reps[sb])
+	// The median is usually one of its inputs; compare before hashing.
+	switch {
+	case e.scratch.Equal(e.reps[so]):
+		return so
+	case e.scratch.Equal(e.reps[sa]):
+		return sa
+	case e.scratch.Equal(e.reps[sb]):
+		return sb
 	}
-	out1, out2 := e.out1[:k], e.out2[:k]
-	for _, s := range e.live {
-		own := e.reps[s]
-		randx.Multinomial(e.g, e.cur[s], e.weights, out1)
-		for ai, ca := range out1 {
-			if ca == 0 {
-				continue
-			}
-			a := e.reps[e.live[ai]]
-			randx.Multinomial(e.g, ca, e.weights, out2)
-			for bi, cb := range out2 {
-				if cb == 0 {
-					continue
-				}
-				CoordMedian(e.scratch, own, a, e.reps[e.live[bi]])
-				e.bump(e.intern(e.scratch), cb)
-			}
-		}
-	}
+	return e.intern(e.scratch)
 }
+
+// Move implements randx.RowRule.
+//
+//consensus:hotpath
+func (r *countRows) Move(to int32, c int64) { (*CountEngine)(r).bump(to, c) }
 
 // commit swaps the accumulated next-round counts in as the live
 // distribution, restoring the all-zero accumulator invariant.

@@ -151,17 +151,17 @@ func TestPickEngine(t *testing.T) {
 }
 
 // TestCountEngineStepAllocs pins the count engine's zero-allocation round
-// loop in both update regimes — the block-multinomial mode (huge n) and
-// the per-sample mode (small n) — with the count-level noise adversary in
-// the loop: after warmup, a steady-state Step must not touch the heap.
+// loop in both update regimes — the transition rows (n ≥ k³) and the
+// per-sample mode (small n) — with the count-level noise adversary in the
+// loop: after warmup, a steady-state Step must not touch the heap.
 func TestCountEngineStepAllocs(t *testing.T) {
 	tuples := []Point{{1, 1}, {1, 2}, {2, 1}, {2, 2}}
 	for _, tc := range []struct {
 		name string
 		per  int64
 	}{
-		{"blocks", 250_000_000}, // n = 10⁹ ≫ 32·k³: block-multinomial rounds
-		{"sampled", 250},        // small n: per-sample rounds
+		{"rows", 250_000_000}, // n = 10⁹ ≫ k³: transition rows
+		{"sampled", 1},        // n = 4 < 2³: never rows
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			counts := []int64{tc.per, tc.per, tc.per, tc.per}

@@ -214,7 +214,7 @@ func (s *Spec) runProcess(ctx engine.RunContext, pts []Point, adv Adversary) Res
 		ctx.Observe(engine.Record{
 			Round: round, N: n, Support: support,
 			LeaderCount: int64(count),
-			LeaderPoint: append([]int64(nil), winner...),
+			LeaderPoint: leaderPoint(winner),
 		})
 	}
 	eng := NewEngine(pts, adv, ctx.Seed, Options{
@@ -223,6 +223,12 @@ func (s *Spec) runProcess(ctx engine.RunContext, pts []Point, adv Adversary) Res
 	})
 	emit(0, eng.State())
 	return eng.Run()
+}
+
+// leaderPoint copies a record's plurality tuple.
+func leaderPoint(p Point) *[]int64 {
+	lp := append([]int64(nil), p...)
+	return &lp
 }
 
 // runCount executes the count-level engine over the count-native initial
@@ -240,7 +246,7 @@ func (s *Spec) runCount(ctx engine.RunContext, tuples []Point, counts []int64, a
 		ctx.Observe(engine.Record{
 			Round: round, N: n, Support: len(tuples),
 			LeaderCount: count,
-			LeaderPoint: append([]int64(nil), winner...),
+			LeaderPoint: leaderPoint(winner),
 		})
 	}
 	eng := NewCountEngineDist(tuples, counts, adv, ctx.Seed, CountOptions{

@@ -79,7 +79,7 @@ func TestSpecAutoPicksCountTrajectory(t *testing.T) {
 		t.Fatalf("count path emitted %d records for %d rounds", len(autoRecs), autoRes.Rounds)
 	}
 	for _, rec := range autoRecs {
-		if rec.N != 2000 || rec.Support < 1 || len(rec.LeaderPoint) != 1 || rec.LeaderCount < 1 {
+		if rec.N != 2000 || rec.Support < 1 || rec.LeaderPoint == nil || len(*rec.LeaderPoint) != 1 || rec.LeaderCount < 1 {
 			t.Fatalf("malformed distribution-level record: %+v", rec)
 		}
 	}

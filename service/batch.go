@@ -481,7 +481,7 @@ func waitTerminal(ctx context.Context, j *Job) (JobView, error) {
 	for {
 		j.mu.Lock()
 		terminal := j.status.terminal()
-		notify := j.notify
+		notify := j.updated()
 		j.mu.Unlock()
 		if terminal {
 			return j.view(), nil

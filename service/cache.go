@@ -3,18 +3,18 @@ package service
 import "sync"
 
 // cacheEntry is an immutable finished run: once stored, neither the result
-// nor the records slice is ever mutated, so entries can be shared between
-// the cache and any number of cache-hit jobs without copying.
+// nor the packed records are ever mutated, so entries are shared between
+// the cache and every done job for the spec without copying.
 type cacheEntry struct {
 	result    RunResult
-	records   []RoundRecord
+	records   packedRecords
 	truncated int
 }
 
 // cacheRecordBudget bounds the total round records retained across all
-// cache entries (~48 bytes each, so the default is ~50 MB): entry count
-// alone is a poor memory bound when single long runs carry up to
-// MaxRecords records.
+// cache entries (packed, ~10 bytes each for a scalar run and more for
+// multidim tuples): entry count alone is a poor memory bound when single
+// long runs carry up to MaxRecords records.
 const cacheRecordBudget = 1 << 20
 
 // resultCache is a bounded FIFO cache keyed by canonical spec hash.
@@ -41,23 +41,26 @@ func (c *resultCache) get(hash string) (*cacheEntry, bool) {
 	return e, ok
 }
 
-func (c *resultCache) put(hash string, e *cacheEntry) {
+// put caches e under hash and returns the entry the cache holds for it:
+// e, or the entry already there — determinism makes the two identical, so
+// the existing one is kept and callers share it.
+func (c *resultCache) put(hash string, e *cacheEntry) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dup := c.entries[hash]; dup {
-		// Determinism makes the existing entry identical; keep it.
-		return
+	if held, dup := c.entries[hash]; dup {
+		return held
 	}
 	c.entries[hash] = e
 	c.order = append(c.order, hash)
-	c.totalRecords += len(e.records)
+	c.totalRecords += e.records.n
 	for len(c.order) > 1 &&
 		((c.max > 0 && len(c.order) > c.max) || c.totalRecords > cacheRecordBudget) {
 		oldest := c.order[0]
 		c.order = c.order[1:]
-		c.totalRecords -= len(c.entries[oldest].records)
+		c.totalRecords -= c.entries[oldest].records.n
 		delete(c.entries, oldest)
 	}
+	return e
 }
 
 // remove evicts the entries for hashes, reporting how many were present.
@@ -73,7 +76,7 @@ func (c *resultCache) remove(hashes []string) int {
 		if !ok {
 			continue
 		}
-		c.totalRecords -= len(e.records)
+		c.totalRecords -= e.records.n
 		delete(c.entries, h)
 		removed++
 	}

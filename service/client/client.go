@@ -19,6 +19,16 @@ import (
 	"repro/service"
 )
 
+// The longest NDJSON line, newline included, that Stream and Events
+// (maxStreamLine) and Batch (maxBatchLine) accept; a longer one fails
+// the call with bufio.ErrTooLong. Their scanners start at bufio's default
+// size and grow to the limit only for lines that need it, since a record
+// line is usually under 100 bytes.
+const (
+	maxStreamLine = 1 << 20
+	maxBatchLine  = 1 << 22
+)
+
 // Client talks to a consensusd server.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://localhost:8645".
@@ -175,7 +185,7 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(service.RoundRec
 		return decodeError(resp)
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(nil, maxStreamLine)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -216,7 +226,7 @@ func (c *Client) Events(ctx context.Context, replay int, fn func(obs.Event) erro
 		return decodeError(resp)
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(nil, maxStreamLine)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -255,7 +265,7 @@ func (c *Client) Batch(ctx context.Context, breq service.BatchRequest, fn func(s
 		return decodeError(resp)
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<22)
+	sc.Buffer(nil, maxBatchLine)
 	got := 0
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())

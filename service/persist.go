@@ -45,8 +45,9 @@ func (s *Service) reload() error {
 		if r.SpecHash == "" {
 			return nil
 		}
-		res := r.Result
-		s.cache.put(r.SpecHash, &cacheEntry{result: res, records: r.Records, truncated: r.Truncated})
+		entry := s.cache.put(r.SpecHash, &cacheEntry{
+			result: r.Result, records: packRecords(r.Records), truncated: r.Truncated,
+		})
 		if r.ID == "" {
 			return nil
 		}
@@ -59,10 +60,9 @@ func (s *Service) reload() error {
 			hash:      r.SpecHash,
 			reqID:     r.RequestID,
 			status:    StatusDone,
-			result:    &res,
-			records:   r.Records,
-			truncated: r.Truncated,
-			notify:    make(chan struct{}),
+			entry:     entry,
+			truncated: entry.truncated,
+			notify:    closedNotify,
 			created:   r.Created,
 			started:   r.Started,
 			finished:  r.Finished,

@@ -82,8 +82,8 @@ func TestLoadQuotaFile(t *testing.T) {
 // consistent, and reports only the ones that were present.
 func TestCacheRemove(t *testing.T) {
 	c := newResultCache(10)
-	c.put("a", &cacheEntry{records: make([]RoundRecord, 3)})
-	c.put("b", &cacheEntry{records: make([]RoundRecord, 5)})
+	c.put("a", &cacheEntry{records: packRecords(make([]RoundRecord, 3))})
+	c.put("b", &cacheEntry{records: packRecords(make([]RoundRecord, 5))})
 	c.put("c", &cacheEntry{})
 	if n := c.remove([]string{"a", "c", "ghost"}); n != 2 {
 		t.Fatalf("remove reported %d, want 2", n)

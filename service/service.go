@@ -147,9 +147,12 @@ var (
 	ErrTerminal  = errors.New("service: job already finished")
 )
 
-// Job is one submitted run. All mutable state is guarded by mu; notify is
-// closed and replaced on every update so stream followers can wait without
-// polling.
+// Job is one submitted run. All mutable state is guarded by mu. notify is
+// closed on every update so stream followers can wait without polling; it
+// is made on demand by the first follower that waits (see updated), and a
+// terminal job's is the shared, already closed closedNotify. A done job
+// keeps only its cache entry: the result and the packed records it
+// serves.
 type Job struct {
 	id       string
 	spec     Spec
@@ -162,9 +165,11 @@ type Job struct {
 
 	cancel atomic.Bool
 
-	mu        sync.Mutex
-	status    Status
-	result    *RunResult
+	mu     sync.Mutex
+	status Status
+	// entry is a done job's immutable result and records, shared with the
+	// cache; records holds the stream of a job that is not done.
+	entry     *cacheEntry
 	errMsg    string
 	records   []RoundRecord
 	truncated int
@@ -211,9 +216,10 @@ func (j *Job) view() JobView {
 		Created:   j.created,
 		Spec:      j.spec,
 	}
-	if j.result != nil {
-		r := *j.result
+	if j.entry != nil {
+		r := j.entry.result
 		v.Result = &r
+		v.Records = j.entry.records.n
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -226,10 +232,34 @@ func (j *Job) view() JobView {
 	return v
 }
 
-// wake closes and replaces the notify channel; callers hold j.mu.
+// closedNotify is the notify channel of every terminal job: no update
+// follows, so followers that wait on it return at once.
+var closedNotify = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// wake wakes the job's followers: it closes the notify channel, if any
+// follower made one, and leaves none — or closedNotify once the job is
+// terminal. Callers hold j.mu.
 func (j *Job) wake() {
-	close(j.notify)
-	j.notify = make(chan struct{})
+	if j.notify != nil && j.notify != closedNotify {
+		close(j.notify)
+	}
+	j.notify = nil
+	if j.status.terminal() {
+		j.notify = closedNotify
+	}
+}
+
+// updated returns the channel closed at the job's next update, making it
+// if no follower has yet. Callers hold j.mu.
+func (j *Job) updated() <-chan struct{} {
+	if j.notify == nil {
+		j.notify = make(chan struct{})
+	}
+	return j.notify
 }
 
 // appendRecord stores one round record up to the configured bound.
@@ -250,10 +280,13 @@ func (j *Job) recordsFrom(i int) ([]RoundRecord, bool, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var out []RoundRecord
-	if i < len(j.records) {
+	switch {
+	case j.entry != nil:
+		out = j.entry.records.from(i)
+	case i < len(j.records):
 		out = j.records[i:]
 	}
-	return out, j.status.terminal(), j.notify
+	return out, j.status.terminal(), j.updated()
 }
 
 // Service is the embeddable simulation service: an in-memory job store, a
@@ -439,7 +472,6 @@ func (s *Service) submit(spec Spec, reqID string) (*Job, JobView, error) {
 		hash:    hash,
 		reqID:   reqID,
 		status:  StatusQueued,
-		notify:  make(chan struct{}),
 		created: now,
 	}
 
@@ -471,10 +503,9 @@ func (s *Service) submit(spec Spec, reqID string) (*Job, JobView, error) {
 	if entry, hit := s.cache.get(hash); hit {
 		j.cacheHit = true
 		j.status = StatusDone
-		r := entry.result
-		j.result = &r
-		j.records = entry.records
+		j.entry = entry
 		j.truncated = entry.truncated
+		j.notify = closedNotify
 		j.started, j.finished = now, now
 		s.metrics.cacheHits.Add(1)
 		s.metrics.jobsCompleted.Add(1)
@@ -707,6 +738,7 @@ func (s *Service) worker() {
 // and, for successful runs, stores the result in the cache.
 func (s *Service) finish(j *Job, st Status, res *RunResult, errMsg string) {
 	finished := time.Now()
+	var entry *cacheEntry
 	j.mu.Lock()
 	records, truncated := j.records, j.truncated
 	created, started := j.created, j.started
@@ -727,7 +759,7 @@ func (s *Service) finish(j *Job, st Status, res *RunResult, errMsg string) {
 		res.Timing = timing
 		// Cache before the job turns terminal: a resubmission that sees it
 		// done skips its pending entry and must then hit the cache.
-		s.cache.put(j.hash, &cacheEntry{result: *res, records: records, truncated: truncated})
+		entry = s.cache.put(j.hash, &cacheEntry{result: *res, records: packRecords(records), truncated: truncated})
 	}
 
 	// Latency observations: queue wait for anything a worker picked up,
@@ -758,7 +790,10 @@ func (s *Service) finish(j *Job, st Status, res *RunResult, errMsg string) {
 	j.mu.Lock()
 	j.status = st
 	j.finished = finished
-	j.result = res
+	if entry != nil {
+		// The entry serves the stream now; drop the append-grown slice.
+		j.entry, j.records = entry, nil
+	}
 	j.errMsg = errMsg
 	j.wake()
 	j.mu.Unlock()

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"math"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -225,7 +227,7 @@ func TestCancelMultidimCountMidRun(t *testing.T) {
 	// plurality tuple, with the population conserved.
 	for _, rec := range recs {
 		if rec.N != 1_000_000 || rec.Support < 1 || rec.Support > 4 ||
-			len(rec.LeaderPoint) != 2 || rec.LeaderCount < 1 {
+			rec.LeaderPoint == nil || len(*rec.LeaderPoint) != 2 || rec.LeaderCount < 1 {
 			t.Fatalf("malformed count-path record: %+v", rec)
 		}
 	}
@@ -546,5 +548,101 @@ func TestSubmitInvalidSpec(t *testing.T) {
 	}
 	if m := s.Metrics(); m.JobsSubmitted != 0 {
 		t.Fatalf("rejected submissions must not count, got %d", m.JobsSubmitted)
+	}
+}
+
+// TestFinishedJobsShareTheirEntry: every done job for a spec — the run
+// itself, a cache hit, and the job reloaded from the store after a
+// restart — serves its stream from the one cache entry's packed records
+// instead of a private copy, and terminal jobs share the closed notify
+// channel.
+func TestFinishedJobsShareTheirEntry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs.store")
+	spec := Spec{Seed: 3, Payload: &MedianSpec{
+		Init: InitSpec{Kind: "twovalue", N: 2000},
+		Rule: RuleSpec{Name: "median"},
+	}}
+	var want []RoundRecord
+	check := func(s *Service, id, what string) *cacheEntry {
+		t.Helper()
+		j, err := s.job(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.mu.Lock()
+		held, ok := s.cache.get(j.hash)
+		switch {
+		case j.status != StatusDone:
+			t.Fatalf("%s: status %s", what, j.status)
+		case !ok || j.entry != held:
+			t.Fatalf("%s: job does not share the cache entry", what)
+		case j.records != nil:
+			t.Fatalf("%s: done job keeps %d unpacked records", what, len(j.records))
+		case j.notify != closedNotify:
+			t.Fatalf("%s: terminal job has a private notify channel", what)
+		}
+		j.mu.Unlock()
+		got, terminal, _, err := s.Records(id, 0)
+		if err != nil || !terminal || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: stream %v (terminal %v, err %v), want %v", what, got, terminal, err, want)
+		}
+		return j.entry
+	}
+
+	s := newTestService(t, Options{Workers: 1, StorePath: path})
+	first, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Payload.(*MedianSpec).Engine = "ball"
+	res, err := Execute(spec.Normalize(), func(r RoundRecord) { want = append(want, r) }, nil)
+	if err != nil || len(want) != res.Rounds+1 {
+		t.Fatalf("reference run: %d records, %v", len(want), err)
+	}
+	spec.Payload.(*MedianSpec).Engine = ""
+	waitDone(t, s, first.ID)
+	ran := check(s, first.ID, "run")
+	hit, err := s.Submit(spec)
+	if err != nil || !hit.CacheHit {
+		t.Fatalf("resubmission: %+v, %v", hit, err)
+	}
+	if check(s, hit.ID, "cache hit") != ran {
+		t.Fatal("cache hit does not share the run's entry")
+	}
+	s.Close()
+
+	s = newTestService(t, Options{Workers: 1, StorePath: path})
+	defer s.Close()
+	check(s, first.ID, "reloaded")
+}
+
+// TestPackedRecordsRoundTrip: packing is lossless for every field,
+// including negative values, nil versus empty leader points and
+// non-zero absorbed probabilities, and from(i) decodes the suffix.
+func TestPackedRecordsRoundTrip(t *testing.T) {
+	empty := []int64{}
+	point := []int64{-3, 0, 1 << 40}
+	recs := []RoundRecord{
+		{Round: 0, N: 1_000_000_000, Support: 4, Leader: -7, LeaderCount: 250_000_000},
+		{Round: 1, N: 9, Support: 2, LeaderCount: 5, LeaderPoint: &point},
+		{Round: 2, N: 9, Support: 1, LeaderCount: 9, LeaderPoint: &empty},
+		{Round: 3, N: 48, Support: 2, Leader: 1, LeaderCount: 24, Absorbed: 0.3125},
+		{Round: 1 << 20, N: 1 << 62, Support: 1, Leader: math.MinInt64, LeaderCount: math.MaxInt64, Absorbed: 1 - 1e-12},
+	}
+	p := packRecords(recs)
+	if p.n != len(recs) || len(p.buf) != cap(p.buf) {
+		t.Fatalf("packed %d records in len %d cap %d", p.n, len(p.buf), cap(p.buf))
+	}
+	for i := 0; i <= len(recs)+1; i++ {
+		want := recs[min(i, len(recs)):]
+		if len(want) == 0 {
+			want = nil
+		}
+		if got := p.from(i); !reflect.DeepEqual(got, want) {
+			t.Fatalf("from(%d) = %+v, want %+v", i, got, want)
+		}
+	}
+	if got := packRecords(nil); got.n != 0 || got.from(0) != nil {
+		t.Fatalf("empty pack: %+v", got)
 	}
 }

@@ -518,7 +518,7 @@ func TestExecuteMultidimDeterminism(t *testing.T) {
 	if len(recs1) != res1.Rounds+1 {
 		t.Fatalf("got %d records, want %d", len(recs1), res1.Rounds+1)
 	}
-	if recs1[0].Round != 0 || recs1[0].N != 400 || len(recs1[0].LeaderPoint) != 2 {
+	if recs1[0].Round != 0 || recs1[0].N != 400 || recs1[0].LeaderPoint == nil || len(*recs1[0].LeaderPoint) != 2 {
 		t.Fatalf("bad initial record: %+v", recs1[0])
 	}
 }

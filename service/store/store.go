@@ -237,7 +237,10 @@ type Log struct {
 	// live maps each decodable record's spec hash to its current frame
 	// size; opaqueBytes totals the preserved frames without a usable
 	// hash; deadBytes totals frames superseded by a later append. The
-	// three drive the background-compaction trigger without rescanning.
+	// three drive the background-compaction trigger without rescanning,
+	// so live is kept only under a retention policy (nil otherwise): a
+	// policy-less log would otherwise hold one hash per run ever appended,
+	// and its forced Compact decides from the rescan instead.
 	live        map[string]int64
 	opaqueBytes int64
 	deadBytes   int64
@@ -276,7 +279,10 @@ func OpenWithPolicy(path string, pol Policy) (*Log, error) {
 		f.Close()
 		return nil, err
 	}
-	l := &Log{f: f, path: path, pol: pol, live: map[string]int64{}}
+	l := &Log{f: f, path: path, pol: pol}
+	if pol.enabled() {
+		l.live = map[string]int64{}
+	}
 	if info.Size() == 0 {
 		if err := l.writeAndSync(Header()); err != nil {
 			f.Close()
@@ -326,7 +332,9 @@ func OpenWithPolicy(path string, pol Policy) (*Log, error) {
 		switch {
 		case fr.decoded:
 			l.loaded = append(l.loaded, fr.run)
-			l.live[fr.run.SpecHash] = fr.size
+			if l.live != nil {
+				l.live[fr.run.SpecHash] = fr.size
+			}
 		case fr.oldSpec:
 			l.stats.RecordsOldSpec++
 			l.opaqueBytes += fr.size
@@ -541,7 +549,10 @@ func (l *Log) compact(frames []frameRec) error {
 	if _, err := tmp.Write(Header()); err != nil {
 		return err
 	}
-	live := make(map[string]int64, len(frames))
+	var live map[string]int64
+	if l.pol.enabled() {
+		live = make(map[string]int64, len(frames))
+	}
 	var opaque int64
 	for _, fr := range frames {
 		payload := fr.payload
@@ -554,10 +565,11 @@ func (l *Log) compact(frames []frameRec) error {
 		if err != nil {
 			return err
 		}
-		if fr.decoded {
-			live[fr.run.SpecHash] = int64(n)
-		} else {
+		switch {
+		case !fr.decoded:
 			opaque += int64(n)
+		case live != nil:
+			live[fr.run.SpecHash] = int64(n)
 		}
 		size += int64(n)
 	}
@@ -668,11 +680,13 @@ func (l *Log) Append(r Run) error {
 	}
 	l.stats.RecordsAppended++
 	l.stats.Bytes += int64(len(buf))
-	if prev, dup := l.live[r.SpecHash]; dup {
-		l.deadBytes += prev // superseded in place; reclaimable by the next rewrite
+	if l.live != nil {
+		if prev, dup := l.live[r.SpecHash]; dup {
+			l.deadBytes += prev // superseded in place; reclaimable by the next rewrite
+		}
+		l.live[r.SpecHash] = int64(len(buf))
+		l.maybeKickGC()
 	}
-	l.live[r.SpecHash] = int64(len(buf))
-	l.maybeKickGC()
 	return nil
 }
 
@@ -759,9 +773,10 @@ func (l *Log) runGC(force bool) error {
 }
 
 // compactLocked rescans the file, applies the policy, and rewrites when
-// anything is reclaimable (threshold-gated unless forced). The rewrite is
-// built from what is actually durable on disk — the in-memory accounting
-// only decides when to look. Callers hold l.mu.
+// anything is reclaimable (threshold-gated unless forced): records the
+// policy drops, or frames the rescan finds superseded or corrupt. The
+// rewrite is built from what is actually durable on disk — the in-memory
+// accounting only decides when to look. Callers hold l.mu.
 func (l *Log) compactLocked(force bool) ([]string, error) {
 	if l.f == nil {
 		return nil, ErrClosed
@@ -772,13 +787,13 @@ func (l *Log) compactLocked(force bool) ([]string, error) {
 	if _, err := l.f.Seek(int64(headerSize), io.SeekStart); err != nil {
 		return nil, err
 	}
-	frames, _, _, err := scanReader(bufio.NewReaderSize(l.f, 64<<10))
+	frames, _, dirty, err := scanReader(bufio.NewReaderSize(l.f, 64<<10))
 	if err != nil {
 		l.f.Seek(0, io.SeekEnd)
 		return nil, err
 	}
 	kept, hashes, gcDropped := applyPolicy(frames, l.pol, time.Now())
-	if gcDropped == 0 && l.deadBytes == 0 {
+	if gcDropped == 0 && !dirty {
 		_, err := l.f.Seek(0, io.SeekEnd)
 		return nil, err
 	}
