@@ -67,7 +67,7 @@ func main() {
 	queueDepth := flag.Int("queue", 256, "max queued jobs before submissions are rejected")
 	cacheSize := flag.Int("cache", 1024, "result cache size in entries")
 	maxRecords := flag.Int("max-records", 1<<16, "max stored round records per job")
-	maxJobs := flag.Int("max-jobs", 4096, "max in-memory job history before terminal jobs are evicted")
+	maxJobs := flag.Int("max-jobs", 4096, "max in-memory job history; beyond it the oldest terminal jobs are evicted first (queued and running jobs never), at a per-submit cost bounded by -queue plus the worker count, not by this size")
 	maxN := flag.Int64("max-n", 1<<27, "max population a submitted spec may materialize")
 	maxBatchCells := flag.Int("max-batch-cells", 4096, "max cells one batch request may expand to")
 	maxBody := flag.Int64("max-body", 1<<20, "max HTTP request body in bytes (413 beyond)")

@@ -150,22 +150,23 @@ func (s *Subscriber) Close() {
 
 // Subscribe attaches a subscriber with a delivery buffer of buf events
 // (buf <= 0 defaults to 64). replay > 0 preloads up to that many of the
-// most recent ring events (capped by the buffer size) so a new consumer
-// sees recent history before the live stream. Returns nil if the bus is
-// closed.
+// most recent ring events so a new consumer sees recent history before
+// the live stream. The ring cannot replay more than it holds, so replay
+// is capped at its capacity first, and the buffer grows to fit the
+// capped replay: a caller-supplied replay never sizes an allocation
+// beyond the ring's. Returns nil if the bus is closed.
 func (b *Bus) Subscribe(buf, replay int) *Subscriber {
 	if buf <= 0 {
 		buf = 64
 	}
+	replay = min(replay, len(b.ring))
+	buf = max(buf, replay)
 	s := &Subscriber{ch: make(chan Event, buf), bus: b}
 	s.C = s.ch
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return nil
-	}
-	if replay > buf {
-		replay = buf
 	}
 	if replay > 0 {
 		for _, ev := range b.tailLocked(replay) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -249,6 +250,44 @@ func TestBusRingWraps(t *testing.T) {
 		if ev.Round != want {
 			t.Fatalf("replayed round %d, want %d", ev.Round, want)
 		}
+	}
+}
+
+// TestBusReplayClampedToRing: a replay far beyond the ring — one query
+// parameter away on GET /v1/events — replays at most the ring, sizes the
+// delivery buffer from that clamped value, and allocates nothing near
+// the requested size.
+func TestBusReplayClampedToRing(t *testing.T) {
+	const huge = 1 << 40
+	b := NewBus(8, nil, nil)
+	for i := 0; i < 20; i++ {
+		b.Publish(Event{Round: i})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sub := b.Subscribe(4, huge)
+	runtime.ReadMemStats(&after)
+	defer sub.Close()
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("Subscribe(4, %d) allocated %d bytes", huge, grew)
+	}
+	// The buffer grew from 4 to hold the whole ring's replay.
+	if cap(sub.C) != 8 || len(sub.C) != 8 {
+		t.Fatalf("buffer cap %d holding %d events, want 8 and 8", cap(sub.C), len(sub.C))
+	}
+	for want := 12; want < 20; want++ {
+		if ev := <-sub.C; ev.Round != want {
+			t.Fatalf("replayed round %d, want %d", ev.Round, want)
+		}
+	}
+	// A ring not yet full replays what it holds; the default buffer is
+	// larger than the ring, so it stays.
+	b2 := NewBus(8, nil, nil)
+	b2.Publish(Event{Round: 1})
+	sub2 := b2.Subscribe(0, huge)
+	defer sub2.Close()
+	if cap(sub2.C) != 64 || len(sub2.C) != 1 {
+		t.Fatalf("buffer cap %d holding %d events, want 64 and 1", cap(sub2.C), len(sub2.C))
 	}
 }
 

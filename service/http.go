@@ -274,10 +274,10 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents streams the live event bus as NDJSON: one obs.Event per
 // line, flushed per event, until the client disconnects or the service
-// closes. ?replay=N prepends up to N buffered events from the ring so a
-// follower can catch up on recent history. A consumer that cannot keep up
-// has events dropped rather than slowing the service; sequence-number gaps
-// reveal the loss.
+// closes. ?replay=N prepends up to N buffered events from the ring (at
+// most Options.EventBuffer, however large N is) so a follower can catch
+// up on recent history. A consumer that cannot keep up has events dropped
+// rather than slowing the service; sequence-number gaps reveal the loss.
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	replay := 0
 	if v := r.URL.Query().Get("replay"); v != "" {
@@ -288,11 +288,9 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		replay = n
 	}
-	buf := 256
-	if replay > buf {
-		buf = replay
-	}
-	sub := s.Events(buf, replay)
+	// The buffer absorbs a burst (a batch's fan-out) while the handler
+	// encodes and flushes; the bus drops, and counts, what overflows it.
+	sub := s.Events(256, replay)
 	if sub == nil {
 		writeError(w, http.StatusServiceUnavailable, ErrClosed)
 		return

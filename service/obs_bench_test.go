@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/obs"
@@ -22,6 +23,38 @@ func BenchmarkBareRun(b *testing.B) {
 		if _, err := Execute(spec, func(RoundRecord) {}, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSubmitCacheHit times a cache-hit Submit into a full job
+// history: each call adds a done job and evicts the oldest, so its cost
+// must not grow with the history's length (MaxJobs).
+func BenchmarkSubmitCacheHit(b *testing.B) {
+	for _, history := range []int{4096, 16384} {
+		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
+			s, err := New(Options{Workers: 1, MaxJobs: history})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			spec := benchSpec()
+			v, err := s.Submit(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			waitDone(b, s, v.ID)
+			for range history {
+				if _, err := s.Submit(spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := s.Submit(spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

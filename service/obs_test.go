@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -419,6 +420,93 @@ func TestEventsBadReplay(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("replay=bogus returned %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestEventsHugeReplay: an absurd ?replay on the unauthenticated events
+// endpoint opens the stream (200) with at most EventBuffer replayed
+// events and allocates about a ring's worth: the bus clamps replay to
+// its ring before anything is sized by it.
+func TestEventsHugeReplay(t *testing.T) {
+	const ring = 8
+	s := newTestService(t, Options{Workers: 1, EventBuffer: ring})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	// Publish more than the ring holds and note the last event's seq: a
+	// watcher sees the run's job.done, then the cache hits' events, which
+	// Submit publishes before it returns.
+	watch := s.Events(64, 0)
+	awaitDone := func(id string) uint64 {
+		t.Helper()
+		timeout := time.After(10 * time.Second)
+		for {
+			select {
+			case ev := <-watch.C:
+				if ev.Type == "job.done" && ev.Job == id {
+					return ev.Seq
+				}
+			case <-timeout:
+				t.Fatalf("no job.done event for %s", id)
+			}
+		}
+	}
+	v, err := s.Submit(obsSpec(43))
+	if err != nil {
+		t.Fatal(err)
+	}
+	watermark := awaitDone(v.ID)
+	for i := 0; i < ring; i++ {
+		if v, err = s.Submit(obsSpec(43)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	watermark = awaitDone(v.ID)
+	watch.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/events?replay=1099511627776", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("huge replay returned %d, want 200", resp.StatusCode)
+	}
+	// The stream is subscribed once its headers arrive, so this hit's
+	// events are live: the first one ends the replay.
+	if _, err := s.Submit(obsSpec(43)); err != nil {
+		t.Fatal(err)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	replayed := 0
+	for sc.Scan() {
+		var ev obs.Event
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad event line %q: %v", sc.Text(), err)
+		}
+		if want := watermark - ring + 1 + uint64(replayed); ev.Seq != want {
+			t.Fatalf("event %d has seq %d, want %d", replayed, ev.Seq, want)
+		}
+		if ev.Seq > watermark {
+			break
+		}
+		replayed++
+	}
+	runtime.ReadMemStats(&after)
+	if replayed != ring {
+		t.Fatalf("replayed %d events, want the ring's %d", replayed, ring)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("the huge-replay request allocated %d bytes", grew)
 	}
 }
 

@@ -68,7 +68,7 @@ func (s *Service) reload() error {
 			finished:  r.Finished,
 		}
 		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
+		s.order = append(s.order, j)
 		// Keep fresh submissions from colliding with reloaded ids.
 		if n, ok := numericID(r.ID); ok && n > s.nextID {
 			s.nextID = n

@@ -131,6 +131,7 @@ func TestDropPersisted(t *testing.T) {
 	if _, err := s.Get(view.ID); err != ErrNotFound {
 		t.Fatalf("terminal job for a dropped hash must be evicted, got %v", err)
 	}
+	checkHistory(t, s)
 	if m := s.Metrics(); m.StoreGCCacheEvictions != 1 {
 		t.Fatalf("store_gc_cache_evictions = %d, want 1", m.StoreGCCacheEvictions)
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,9 +50,12 @@ type Options struct {
 	// (<=0 = 65536).
 	MaxRecords int
 	// MaxJobs bounds the in-memory job history: once exceeded, the
-	// oldest terminal jobs are evicted (queued/running jobs are never
-	// evicted; their results stay reachable through the cache)
-	// (<=0 = 4096).
+	// oldest terminal jobs are evicted, in submission order (queued and
+	// running jobs are never evicted, and evicted runs stay reachable
+	// through the cache). Eviction walks from the oldest job and stops
+	// once the excess is gone, so a submit pays for the jobs it evicts
+	// plus the live jobs ahead of them — at most QueueDepth + Workers,
+	// whatever MaxJobs is (<=0 = 4096).
 	MaxJobs int
 	// MaxN bounds the population a submitted spec may materialize — the
 	// per-ball state costs 8 bytes per process, so without a cap one
@@ -306,7 +310,7 @@ type Service struct {
 
 	mu      sync.Mutex
 	jobs    map[string]*Job
-	order   []string
+	order   []*Job          // the history, oldest first; evictLocked trims its head
 	pending map[string]*Job // spec hash → not-yet-terminal job, for coalescing
 	nextID  int
 	closed  bool
@@ -388,8 +392,7 @@ func (s *Service) Close() {
 	s.closed = true
 	// Flag still-queued jobs so the drain below cancels instead of runs
 	// them (a job racing into "running" right now simply finishes).
-	for _, id := range s.order {
-		j := s.jobs[id]
+	for _, j := range s.order {
 		j.mu.Lock()
 		if j.status == StatusQueued {
 			j.cancel.Store(true)
@@ -418,9 +421,10 @@ func (s *Service) MetricsJSON() map[string]any { return s.metrics.JSONMap() }
 func (s *Service) WriteMetricsText(w io.Writer) { s.metrics.WritePrometheus(w) }
 
 // Events subscribes to the live event bus with a delivery buffer of buf
-// events, replaying up to replay recent events first (see obs.Bus). The
-// returned subscriber is nil when the service is closed; callers must
-// Close it when done.
+// events, replaying up to replay recent events first — at most
+// Options.EventBuffer, and the buffer grows to hold them (see
+// obs.Bus.Subscribe). The returned subscriber is nil when the service is
+// closed; callers must Close it when done.
 func (s *Service) Events(buf, replay int) *obs.Subscriber {
 	return s.bus.Subscribe(buf, replay)
 }
@@ -524,7 +528,7 @@ func (s *Service) submit(spec Spec, reqID string) (*Job, JobView, error) {
 	j.id = fmt.Sprintf("r-%d", s.nextID)
 	s.metrics.jobsSubmitted.Add(1)
 	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
+	s.order = append(s.order, j)
 	// The job is complete and announced before a worker can receive it, so
 	// the worker reads a set id and job.submitted precedes job.started.
 	s.bus.Publish(obs.Event{
@@ -534,7 +538,7 @@ func (s *Service) submit(spec Spec, reqID string) (*Job, JobView, error) {
 	if !j.cacheHit {
 		s.queue <- j
 	}
-	// Pruning the history scans every job; the worker need not wait for it.
+	// The worker need not wait for the history to be pruned.
 	s.evictLocked()
 	s.mu.Unlock()
 	if j.cacheHit {
@@ -549,26 +553,33 @@ func (s *Service) submit(spec Spec, reqID string) (*Job, JobView, error) {
 }
 
 // evictLocked drops the oldest terminal jobs beyond the MaxJobs bound so
-// the daemon's job history cannot grow without limit. Callers hold s.mu.
+// the daemon's job history cannot grow without limit. It walks the
+// history from its oldest end and stops once the excess is gone; live
+// jobs passed on the way stay, in order, at the new head. A call thus
+// costs the jobs it evicts plus the live jobs ahead of them, whatever
+// the history's length. Callers hold s.mu.
 func (s *Service) evictLocked() {
-	if len(s.order) <= s.opts.MaxJobs {
-		return
-	}
-	kept := s.order[:0]
 	excess := len(s.order) - s.opts.MaxJobs
-	for _, id := range s.order {
-		j := s.jobs[id]
+	live, i := 0, 0
+	for ; excess > 0 && i < len(s.order); i++ {
+		j := s.order[i]
 		j.mu.Lock()
 		evictable := j.status.terminal()
 		j.mu.Unlock()
-		if excess > 0 && evictable {
-			delete(s.jobs, id)
+		if evictable {
+			delete(s.jobs, j.id)
 			excess--
 			continue
 		}
-		kept = append(kept, id)
+		s.order[live] = j
+		live++
 	}
-	s.order = kept
+	// Slide the live jobs up against the unwalked rest and clear the
+	// vacated slots, so the evicted jobs can be collected.
+	head := i - live
+	copy(s.order[head:i], s.order[:live])
+	clear(s.order[:head])
+	s.order = s.order[head:]
 }
 
 // dropPersisted is the retention-consistency hook the store's GC calls
@@ -588,19 +599,18 @@ func (s *Service) dropPersisted(hashes []string) {
 	}
 	s.mu.Lock()
 	kept := s.order[:0]
-	jobsEvicted := 0
-	for _, id := range s.order {
-		j := s.jobs[id]
+	for _, j := range s.order {
 		j.mu.Lock()
 		evictable := dropped[j.hash] && j.status.terminal()
 		j.mu.Unlock()
 		if evictable {
-			delete(s.jobs, id)
-			jobsEvicted++
+			delete(s.jobs, j.id)
 			continue
 		}
-		kept = append(kept, id)
+		kept = append(kept, j)
 	}
+	jobsEvicted := len(s.order) - len(kept)
+	clear(s.order[len(kept):])
 	s.order = kept
 	s.mu.Unlock()
 	s.metrics.storeGCEvicted.Add(int64(cacheEvicted))
@@ -623,10 +633,7 @@ func (s *Service) Get(id string) (JobView, error) {
 // List returns all jobs in submission order.
 func (s *Service) List() []JobView {
 	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		jobs = append(jobs, s.jobs[id])
-	}
+	jobs := slices.Clone(s.order)
 	s.mu.Unlock()
 	out := make([]JobView, len(jobs))
 	for i, j := range jobs {

@@ -1,10 +1,13 @@
 package service
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,7 +24,7 @@ func newTestService(t *testing.T, opts Options) *Service {
 	return s
 }
 
-func waitDone(t *testing.T, s *Service, id string) JobView {
+func waitDone(t testing.TB, s *Service, id string) JobView {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -366,6 +369,7 @@ func TestJobEviction(t *testing.T) {
 	if _, err := s.Get(ids[5]); err != nil {
 		t.Fatalf("newest job must survive: %v", err)
 	}
+	checkHistory(t, s)
 	// The evicted run's result is still answered from the cache.
 	v, err := s.Submit(Spec{Seed: 1, Payload: &MedianSpec{
 		Init: InitSpec{Kind: "twovalue", N: 200},
@@ -377,6 +381,251 @@ func TestJobEviction(t *testing.T) {
 	if !v.CacheHit {
 		t.Fatal("evicted job's spec must still hit the result cache")
 	}
+}
+
+// checkHistory asserts the job history's two indexes agree: order and
+// jobs hold the same jobs, each once and under its own id.
+func checkHistory(t *testing.T, s *Service) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.jobs) != len(s.order) {
+		t.Fatalf("history: %d jobs by id, %d in order", len(s.jobs), len(s.order))
+	}
+	seen := make(map[*Job]bool, len(s.order))
+	for i, j := range s.order {
+		if s.jobs[j.id] != j || seen[j] {
+			t.Fatalf("history: order[%d] (%s) is not in jobs or is listed twice", i, j.id)
+		}
+		seen[j] = true
+	}
+}
+
+// listIDs returns the history's job ids in List order.
+func listIDs(s *Service) []string {
+	var ids []string
+	for _, v := range s.List() {
+		ids = append(ids, v.ID)
+	}
+	return ids
+}
+
+// TestJobEvictionLiveHead: with a running and a queued job the oldest in
+// the history, cache hits evict the terminal jobs behind them — the
+// history stays at MaxJobs and both live jobs stay reachable, in
+// submission order — and once the two finish they are evicted first.
+func TestJobEvictionLiveHead(t *testing.T) {
+	const maxJobs = 4
+	s := newTestService(t, Options{Workers: 1, MaxJobs: maxJobs})
+	defer s.Close()
+	hit := medianSpec(1, MedianSpec{
+		Init: InitSpec{Kind: "twovalue", N: 200},
+		Rule: RuleSpec{Name: "median"},
+	})
+	cached, err := s.Submit(hit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, s, cached.ID)
+	// Voter runs at this n outlast the test by far; both are cancelled
+	// below.
+	blocker := func(seed uint64) Spec {
+		return Spec{Seed: seed, MaxRounds: 1 << 20, Payload: &MedianSpec{
+			Init: InitSpec{Kind: "twovalue", N: 20000},
+			Rule: RuleSpec{Name: "voter"},
+		}}
+	}
+	running, err := s.Submit(blocker(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := s.Submit(blocker(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for v, _ := s.Get(running.ID); v.Status != StatusRunning; v, _ = s.Get(running.ID) {
+		if time.Now().After(deadline) {
+			t.Fatalf("blocker never started: %+v", v)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	submitHit := func() string {
+		t.Helper()
+		v, err := s.Submit(hit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !v.CacheHit {
+			t.Fatalf("%s is not a cache hit", v.ID)
+		}
+		return v.ID
+	}
+
+	// The first hit fills the history; each later one evicts the oldest
+	// terminal job, passing over the live pair at the head.
+	hits := []string{submitHit()}
+	if got, want := listIDs(s), []string{cached.ID, running.ID, queued.ID, hits[0]}; !slices.Equal(got, want) {
+		t.Fatalf("history %v, want %v", got, want)
+	}
+	for i := 1; i < 3*maxJobs; i++ {
+		hits = append(hits, submitHit())
+		want := []string{running.ID, queued.ID, hits[i-1], hits[i]}
+		if got := listIDs(s); !slices.Equal(got, want) {
+			t.Fatalf("after hit %d: history %v, want %v", i, got, want)
+		}
+		checkHistory(t, s)
+	}
+	for id, want := range map[string]Status{running.ID: StatusRunning, queued.ID: StatusQueued} {
+		if v, err := s.Get(id); err != nil || v.Status != want {
+			t.Fatalf("live job %s: %+v, %v; want %s", id, v, err, want)
+		}
+	}
+
+	// Once finished, the pair are the oldest terminal jobs: the next two
+	// hits evict them, in order.
+	for _, id := range []string{running.ID, queued.ID} {
+		if _, err := s.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []string{running.ID, queued.ID} {
+		if v := waitDone(t, s, id); v.Status != StatusCancelled {
+			t.Fatalf("job %s: status %s, want cancelled", id, v.Status)
+		}
+	}
+	last := hits[len(hits)-2:]
+	next := submitHit()
+	if got, want := listIDs(s), []string{queued.ID, last[0], last[1], next}; !slices.Equal(got, want) {
+		t.Fatalf("history %v, want %v", got, want)
+	}
+	if _, err := s.Get(running.ID); err != ErrNotFound {
+		t.Fatalf("finished head job must be evicted first, got %v", err)
+	}
+	after := submitHit()
+	if got, want := listIDs(s), []string{last[0], last[1], next, after}; !slices.Equal(got, want) {
+		t.Fatalf("history %v, want %v", got, want)
+	}
+	checkHistory(t, s)
+}
+
+// TestJobHistoryConcurrent drives a small job history from many
+// goroutines at once — submitters of cache hits and of fresh runs beside
+// readers that Get, follow, List and Cancel recent jobs — for the race
+// detector. Once everything settles, the history's indexes agree and one
+// more submit trims it to exactly MaxJobs.
+func TestJobHistoryConcurrent(t *testing.T) {
+	const maxJobs, ops, hitSpecs = 8, 200, 4
+	s := newTestService(t, Options{Workers: 2, MaxJobs: maxJobs})
+	defer s.Close()
+	spec := func(seed uint64) Spec {
+		return medianSpec(seed, MedianSpec{
+			Init: InitSpec{Kind: "twovalue", N: 50},
+			Rule: RuleSpec{Name: "median"},
+		})
+	}
+	for seed := uint64(1); seed <= hitSpecs; seed++ {
+		v, err := s.Submit(spec(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, s, v.ID)
+	}
+
+	var (
+		mu  sync.Mutex
+		ids []string
+	)
+	recent := func(i int) string {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(ids) == 0 {
+			return ""
+		}
+		return ids[len(ids)-1-i%min(len(ids), 2*maxJobs)]
+	}
+	var fresh atomic.Uint64
+	fresh.Store(1000)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				seed := uint64(1 + i%hitSpecs)
+				if g%2 == 1 {
+					seed = fresh.Add(1)
+				}
+				v, err := s.Submit(spec(seed))
+				if errors.Is(err, ErrQueueFull) {
+					continue
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				ids = append(ids, v.ID)
+				mu.Unlock()
+			}
+		}()
+	}
+	readers := []func(id string) error{
+		func(id string) error {
+			_, err := s.Get(id)
+			return err
+		},
+		func(id string) error {
+			for i := 0; ; {
+				recs, terminal, notify, err := s.Records(id, i)
+				if err != nil || terminal {
+					return err
+				}
+				i += len(recs)
+				<-notify
+			}
+		},
+		func(string) error {
+			s.List()
+			return nil
+		},
+		func(id string) error {
+			_, err := s.Cancel(id)
+			if errors.Is(err, ErrTerminal) {
+				return nil
+			}
+			return err
+		},
+	}
+	for _, read := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				id := recent(i)
+				if id == "" {
+					continue
+				}
+				if err := read(id); err != nil && !errors.Is(err, ErrNotFound) {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	checkHistory(t, s)
+
+	for _, v := range s.List() {
+		waitDone(t, s, v.ID)
+	}
+	if _, err := s.Submit(spec(1)); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.List()); n != maxJobs {
+		t.Fatalf("settled history holds %d jobs, want %d", n, maxJobs)
+	}
+	checkHistory(t, s)
 }
 
 // TestCoalesceInFlight: an identical spec submitted while the first run is

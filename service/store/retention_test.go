@@ -148,6 +148,16 @@ func TestBackgroundGC(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	// runGC calls OnDrop only after it releases the log's lock, so the
+	// report can trail the Stats that show the compaction.
+	reported := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(dropped) > 0
+	}
+	for !reported() && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
 
 	mu.Lock()
 	gotDrops := len(dropped)
