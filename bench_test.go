@@ -279,10 +279,9 @@ func BenchmarkLemma15Drift(b *testing.B) {
 	g := rng.NewXoshiro256(99)
 	hits := 0
 	for i := 0; i < b.N; i++ {
-		e := core.NewTwoBinEngine(n, n/2-delta, 1, 2, nil, g.Uint64(), core.Options{})
+		e := twoBin(n, n/2-delta, g.Uint64())
 		e.Step()
-		l, r := e.Counts()
-		if (r-l)/2 >= delta*4/3 {
+		if analysis.TwoBin([]int64{e.Count(1), e.Count(2)}).Psi >= float64(delta*4/3) {
 			hits++
 		}
 	}
@@ -297,15 +296,20 @@ func BenchmarkLemma14CLT(b *testing.B) {
 	g := rng.NewXoshiro256(77)
 	hits := 0
 	for i := 0; i < b.N; i++ {
-		e := core.NewTwoBinEngine(n, n/2, 1, 2, nil, g.Uint64(), core.Options{})
+		e := twoBin(n, n/2, g.Uint64())
 		e.Step()
-		l, r := e.Counts()
-		psi := float64(r-l) / 2
-		if psi >= c*math.Sqrt(n) {
+		if analysis.TwoBin([]int64{e.Count(1), e.Count(2)}).Psi >= c*math.Sqrt(n) {
 			hits++
 		}
 	}
 	b.ReportMetric(float64(hits)/float64(b.N), "kick-hit/op")
+}
+
+// twoBin is the Section 3 two-bin process on the count engine: l balls at
+// value 1 and n−l at value 2, both positive, under the median rule.
+func twoBin(n, l int64, seed uint64) *core.CountEngine {
+	d := assign.Dist{Vals: []consensus.Value{1, 2}, Counts: []int64{l, n - l}}
+	return core.NewCountEngineDist(d, rules.Median{}, nil, seed, core.Options{})
 }
 
 // --- E11: Theorem 20 — phase halving under an adversary -------------------
@@ -392,9 +396,7 @@ func BenchmarkLemma11LogLog(b *testing.B) {
 			g := rng.NewXoshiro256(5511)
 			var rounds int64
 			for i := 0; i < b.N; i++ {
-				e := core.NewTwoBinEngine(n, n/4, 1, 2, nil, g.Uint64(), core.Options{})
-				res := e.Run()
-				rounds += int64(res.Rounds)
+				rounds += int64(twoBin(n, n/4, g.Uint64()).Run().Rounds)
 			}
 			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 		})
@@ -442,8 +444,8 @@ func BenchmarkAblation_InPlace(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_Engines measures per-round throughput of the three
-// count-compatible engines on the same workload.
+// BenchmarkAblation_Engines measures per-run cost of the ball and count
+// engines on the same two-value workload.
 func BenchmarkAblation_Engines(b *testing.B) {
 	const n = 100_000
 	for _, tc := range []struct {
@@ -453,7 +455,6 @@ func BenchmarkAblation_Engines(b *testing.B) {
 	}{
 		{"ball", consensus.EngineBall, consensus.TwoValue(n, n/3, 1, 2)},
 		{"count", consensus.EngineCount, consensus.TwoValue(n, n/3, 1, 2)},
-		{"twobin", consensus.EngineTwoBin, consensus.TwoValue(n, n/3, 1, 2)},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			runSeries(b, func(seed uint64) consensus.Config {

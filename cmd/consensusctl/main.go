@@ -203,7 +203,7 @@ func addSpecFlags(fs *flag.FlagSet) *specFlags {
 		slack:     fs.Int("slack", 0, "almost-stable slack (0 = off)"),
 		window:    fs.Int("window", 0, "stability window (0 = default)"),
 		timing:    fs.String("timing", "", "adversary timing: before-round, after-choices (kind median)"),
-		engine:    fs.String("engine", "", "simulation engine: auto, ball, count, twobin (kind median); auto, process, count (kind multidim)"),
+		engine:    fs.String("engine", "", "simulation engine: auto (count unless the adversary lacks a count view, then ball), ball, count, twobin (count on <= 2 values, kept for existing specs) (kind median); auto, process, count (kind multidim)"),
 	}
 }
 

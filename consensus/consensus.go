@@ -23,22 +23,23 @@
 //
 // # Engines
 //
-// Four interchangeable engines execute the same protocol contract:
+// Three engines execute the same protocol contract:
 //
 //   - EngineBall: exact per-process simulation (supports every adversary
 //     hook, observers, parallel execution).
 //   - EngineCount: distribution-level simulation, O(k) memory for k live
 //     values. Each round moves every value's processes with one exact
 //     multinomial over its transition row, O(k^(s+1)) for s samples per
-//     process whatever n is; large supports sample per process.
-//   - EngineTwoBin: exact binomial-update simulation for two-value states,
-//     O(1) memory per round — usable with n up to 2^62.
+//     process whatever n is; large supports sample per process. On two
+//     values a round is two binomials, so n may reach 2^62.
 //   - EngineGossip: full message-passing simulation of the paper's network
 //     model (private peer numberings, per-round request caps, adversarially
 //     selected drops).
 //
-// EngineAuto picks the fastest engine that supports the requested
-// configuration.
+// EngineTwoBin is the count engine restricted to at most two initial
+// values, kept so existing specs naming it still run. EngineAuto picks the
+// count engine unless the adversary has no count view, then the ball
+// engine.
 package consensus
 
 import (
@@ -80,15 +81,16 @@ const (
 type Engine int
 
 const (
-	// EngineAuto picks TwoBin for two-value states when possible, Count
-	// for large populations, and Ball otherwise.
+	// EngineAuto picks Count when the adversary is nil or has a count view
+	// (model.CountAdversary), and Ball otherwise.
 	EngineAuto Engine = iota
 	// EngineBall is the exact per-process engine.
 	EngineBall
 	// EngineCount is the distribution-level engine: exact transition-row
 	// rounds independent of n (per-process sampling for large support).
 	EngineCount
-	// EngineTwoBin is the exact binomial two-value engine.
+	// EngineTwoBin is EngineCount on at most two initial values, kept so
+	// existing specs naming it still run; more values panic.
 	EngineTwoBin
 	// EngineGossip is the message-passing network simulator.
 	EngineGossip
@@ -190,18 +192,11 @@ func Run(cfg Config) Result {
 		panic("consensus: Config.Rule is nil")
 	}
 	initial := assign.Config(cfg.Values)
-	engine := cfg.Engine
-	if engine == EngineAuto {
-		d := initial.Dist()
-		engine = pick(d.N(), d.Support(), cfg)
-	}
-	switch engine {
+	switch pick(cfg.Engine, cfg.Adversary) {
 	case EngineBall:
 		return fromCore(core.NewBallEngine(initial, cfg.Rule, cfg.Adversary, cfg.Seed, coreOpts(cfg)).Run())
-	case EngineCount:
-		return fromCore(core.NewCountEngine(initial, cfg.Rule, cfg.Adversary, cfg.Seed, coreOpts(cfg)).Run())
-	case EngineTwoBin:
-		return runTwoBin(cfg, initial.Dist())
+	case EngineCount, EngineTwoBin:
+		return RunDist(cfg, initial.Dist())
 	case EngineGossip:
 		nw := gossip.New(initial, cfg.Rule, cfg.Adversary, cfg.Seed, gossip.Options{
 			CapFactor:   cfg.Gossip.CapFactor,
@@ -233,13 +228,12 @@ func Run(cfg Config) Result {
 type Dist = assign.Dist
 
 // RunDist executes the configured simulation over a distribution-level
-// initial state: cfg.Values is ignored and the count-capable engines
-// (EngineCount, EngineTwoBin) run directly on the distribution in O(m)
-// memory. EngineAuto picks among the engines exactly as Run does — when it
-// (or an explicit cfg.Engine) lands on a per-process engine (EngineBall,
-// EngineGossip), the distribution is expanded to the O(n) vector, so the
-// contract stays total; callers chasing the n ~ 10⁹ regime should pin
-// EngineCount or EngineTwoBin.
+// initial state: cfg.Values is ignored and the count engine (EngineCount,
+// EngineTwoBin) runs directly on the distribution in O(m) memory. It is
+// the one place that checks EngineTwoBin's at most two values. EngineAuto
+// resolves exactly as in Run; when it (or an explicit cfg.Engine) lands on
+// a per-process engine (EngineBall, EngineGossip), the distribution is
+// expanded to the O(n) vector, so the contract stays total.
 func RunDist(cfg Config, d Dist) Result {
 	if len(d.Vals) == 0 {
 		panic("consensus: RunDist with an empty distribution")
@@ -247,18 +241,16 @@ func RunDist(cfg Config, d Dist) Result {
 	if cfg.Rule == nil {
 		panic("consensus: Config.Rule is nil")
 	}
-	engine := cfg.Engine
-	if engine == EngineAuto {
-		engine = pick(d.N(), d.Support(), cfg)
-	}
-	switch engine {
+	switch pick(cfg.Engine, cfg.Adversary) {
+	case EngineTwoBin:
+		if d.Support() > 2 {
+			panic("consensus: EngineTwoBin needs at most two distinct values")
+		}
+		fallthrough
 	case EngineCount:
 		return fromCore(core.NewCountEngineDist(d, cfg.Rule, cfg.Adversary, cfg.Seed, coreOpts(cfg)).Run())
-	case EngineTwoBin:
-		return runTwoBin(cfg, d)
 	default:
 		cfg.Values = assign.Expand(d)
-		cfg.Engine = engine
 		return Run(cfg)
 	}
 }
@@ -274,53 +266,17 @@ func coreOpts(cfg Config) core.Options {
 	}
 }
 
-func runTwoBin(cfg Config, d assign.Dist) Result {
-	if d.Support() > 2 {
-		panic("consensus: EngineTwoBin needs at most two distinct values")
+// pick resolves the engine a run executes on: an explicit engine as
+// given, and EngineAuto as the count engine when the adversary is nil or
+// has a count view, else the ball engine.
+func pick(e Engine, adv Adversary) Engine {
+	if e != EngineAuto {
+		return e
 	}
-	low, high, l := twoBinShape(d)
-	return fromCore(core.NewTwoBinEngine(d.N(), l, low, high, cfg.Adversary, cfg.Seed, coreOpts(cfg)).Run())
-}
-
-// pick chooses an engine for EngineAuto from the population size and the
-// distinct-value support — distribution-level inputs, so spec-driven runs
-// can resolve the engine without materializing anything.
-func pick(n int64, support int, cfg Config) Engine {
-	// TwoBin requires median/majority semantics (it hard-codes the
-	// two-value median update) and a count-level or absent adversary.
-	if support <= 2 && cfg.Rule.Samples() == 2 && isMedianLike(cfg.Rule) && countCompatible(cfg.Adversary) && cfg.Observer == nil {
-		return EngineTwoBin
-	}
-	if n >= 1<<16 && countCompatible(cfg.Adversary) {
+	if _, ok := adv.(model.CountAdversary); ok || adv == nil {
 		return EngineCount
 	}
 	return EngineBall
-}
-
-func isMedianLike(r Rule) bool {
-	switch r.Name() {
-	case "median", "majority", "median-2choices":
-		return true
-	}
-	return false
-}
-
-func countCompatible(a Adversary) bool {
-	if a == nil {
-		return true
-	}
-	_, ok := a.(model.CountAdversary)
-	return ok
-}
-
-func twoBinShape(d assign.Dist) (low, high Value, l int64) {
-	switch d.Support() {
-	case 1:
-		// Degenerate: model as the value plus a phantom empty higher bin.
-		return d.Vals[0], d.Vals[0] + 1, d.Counts[0]
-	default:
-		return d.Vals[0], d.Vals[1], d.Counts[0]
-	}
 }
 
 func fromCore(r core.Result) Result {

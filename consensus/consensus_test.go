@@ -2,11 +2,11 @@ package consensus
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/adversary"
-	"repro/internal/assign"
 	"repro/rules"
 )
 
@@ -50,36 +50,117 @@ func TestRunEachEngineConverges(t *testing.T) {
 	}
 }
 
-// pickVals resolves EngineAuto from a materialized value vector, the way
-// Run does: bucket once, then the distribution-level pick.
-func pickVals(vals []Value, cfg Config) Engine {
-	d := assign.Config(vals).Dist()
-	return pick(d.N(), d.Support(), cfg)
+// TestRunAutoPicksEngine: auto runs on the count engine whatever the
+// population, rule or observer, unless the adversary has no count view;
+// then it runs on the ball engine. Small runs must equal the wanted
+// engine's run at equal seed, with and without an observer; the median
+// spec's admission size shows the same choice from n = 2 to 2⁴⁰ (the
+// count engine holds the two values, the ball engine all n).
+func TestRunAutoPicksEngine(t *testing.T) {
+	observe := func(int, []Value, []int64) {}
+	for _, tc := range []struct {
+		adv  string
+		want Engine
+	}{
+		{"", EngineCount},
+		{"balancer", EngineCount},        // count, ball and post-round views
+		{"median-splitter", EngineCount}, // count view only
+		{"flipper", EngineBall},          // ball view only
+	} {
+		for _, n := range []int{2, 100, 1 << 16, 1 << 40} {
+			for _, rule := range []string{"median", "majority", "mean", "minimum", "voter"} {
+				spec := Spec{Init: InitSpec{Kind: "twovalue", N: n}, Rule: rules.Ref{Name: rule}}
+				if tc.adv != "" {
+					spec.Adversary = &adversary.Ref{Name: tc.adv, Budget: adversary.BudgetSpec{Kind: "fixed", Factor: 1}}
+				}
+				spec.Normalize()
+				want := int64(n)
+				if tc.want == EngineCount && n > 2 {
+					want = 2
+				}
+				if got := spec.MaterializedSize(); got != want {
+					t.Fatalf("adversary %q, n=%d, rule %s: materialized size %d, want %d", tc.adv, n, rule, got, want)
+				}
+				if n > 100 {
+					continue
+				}
+				d, err := BuildInitDist(spec.Init)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, obs := range []func(int, []Value, []int64){nil, observe} {
+					run := func(e Engine) Result {
+						cfg, err := spec.components(50)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cfg.Engine, cfg.Seed, cfg.Observer = e, 7, obs
+						return RunDist(cfg, d)
+					}
+					if got, want := run(EngineAuto), run(tc.want); got != want {
+						t.Fatalf("adversary %q, n=%d, rule %s, observer %v: auto gave %v, %s gives %v", tc.adv, n, rule, obs != nil, got, tc.want, want)
+					}
+				}
+			}
+		}
+	}
+	for _, e := range []Engine{EngineBall, EngineCount, EngineTwoBin, EngineGossip} {
+		if got := pick(e, nil); got != e {
+			t.Fatalf("explicit %s resolved to %s", e, got)
+		}
+	}
 }
 
+// TestRunAutoPicksTwoBin: on a two-value start, Run's value path under
+// auto gives what twobin gives (the count engine on at most two values)
+// at equal seed, for a median-like and a non-median rule, with and
+// without an observer. A ball-only adversary still forces the ball engine.
 func TestRunAutoPicksTwoBin(t *testing.T) {
-	if e := pickVals(TwoValue(100, 40, 1, 2), Config{Rule: rules.Median{}}); e != EngineTwoBin {
-		t.Fatalf("picked %d, want TwoBin", e)
+	if e := pick(EngineAuto, nil); e != EngineCount {
+		t.Fatalf("picked %s, want count", e)
 	}
-	// Mean rule is not median-like: must not use the two-bin engine.
-	if e := pickVals(TwoValue(100, 40, 1, 2), Config{Rule: rules.Mean{}}); e == EngineTwoBin {
-		t.Fatal("two-bin picked for the mean rule")
+	vals := TwoValue(100, 40, 1, 2)
+	for _, rule := range []Rule{rules.Median{}, rules.Mean{}} {
+		for _, obs := range []func(int, []Value, []int64){nil, func(int, []Value, []int64) {}} {
+			run := func(e Engine) Result {
+				return Run(Config{Values: vals, Rule: rule, Seed: 3, Engine: e, Observer: obs})
+			}
+			if got, want := run(EngineAuto), run(EngineTwoBin); got != want {
+				t.Fatalf("rule %s, observer %v: auto gave %v, twobin gives %v", rule.Name(), obs != nil, got, want)
+			}
+		}
 	}
-	// An observer forces a general engine.
-	if e := pickVals(TwoValue(100, 40, 1, 2), Config{Rule: rules.Median{}, Observer: func(int, []Value, []int64) {}}); e == EngineTwoBin {
-		t.Fatal("two-bin picked despite observer")
-	}
-	// Ball-only adversary forces the ball engine.
 	probe := adversary.NewFunc("x", adversary.Fixed(1), func(int, []Value, []Value, Rand) {})
-	if e := pickVals(TwoValue(100, 40, 1, 2), Config{Rule: rules.Median{}, Adversary: probe}); e != EngineBall {
-		t.Fatalf("picked %d, want Ball for ball-only adversary", e)
+	if e := pick(EngineAuto, probe); e != EngineBall {
+		t.Fatalf("picked %s, want ball for a ball-only adversary", e)
 	}
 }
 
+// TestRunAutoLargePopulationUsesCount: a five-value start at n = 2¹⁶
+// runs on the count engine under auto: the same Result and the same
+// per-round counts as the count engine at equal seed.
 func TestRunAutoLargePopulationUsesCount(t *testing.T) {
 	vals := EvenBlocks(1<<16, 5)
-	if e := pickVals(vals, Config{Rule: rules.Median{}}); e != EngineCount {
-		t.Fatalf("picked %d, want Count", e)
+	run := func(e Engine) (Result, [][]int64) {
+		var stream [][]int64
+		res := Run(Config{Values: vals, Rule: rules.Median{}, Seed: 5, Engine: e,
+			Observer: func(_ int, _ []Value, counts []int64) {
+				stream = append(stream, append([]int64(nil), counts...))
+			}})
+		return res, stream
+	}
+	got, gotStream := run(EngineAuto)
+	want, wantStream := run(EngineCount)
+	if got != want {
+		t.Fatalf("auto gave %v, count gives %v", got, want)
+	}
+	if len(gotStream) != len(wantStream) {
+		t.Fatalf("auto observed %d rounds, count %d", len(gotStream), len(wantStream))
+	}
+	for r := range gotStream {
+		if !slices.Equal(gotStream[r], wantStream[r]) {
+			t.Fatalf("round %d: auto counts %v, count engine %v", r, gotStream[r], wantStream[r])
+		}
 	}
 }
 

@@ -69,12 +69,7 @@ func TimingByName(name string) (Timing, error) {
 }
 
 // TimingName returns the serialized name of a timing.
-func TimingName(t Timing) string {
-	if t == AfterChoices {
-		return "after-choices"
-	}
-	return "before-round"
-}
+func TimingName(t Timing) string { return t.String() }
 
 // InitSpec is the serializable description of an initial state. It is an
 // alias of initspec.Spec — the registry itself lives in the leaf package

@@ -5,6 +5,7 @@ import (
 
 	"repro/adversary"
 	"repro/engine"
+	"repro/internal/core"
 	"repro/internal/initspec"
 	"repro/rules"
 )
@@ -32,9 +33,11 @@ type Spec struct {
 	// Timing is the adversary hook point: "before-round" (default) or
 	// "after-choices".
 	Timing string `json:"timing,omitempty"`
-	// Engine selects the simulator by name: auto (the default), ball,
-	// count or twobin. The message-passing simulator is no longer an
-	// engine of this kind — it is the "gossip" spec kind.
+	// Engine selects the simulator by name: auto (the default: count
+	// unless the adversary lacks a count view, then ball), ball, count, or
+	// twobin (count on at most two initial values, kept for existing
+	// specs). The message-passing simulator is no longer an engine of this
+	// kind — it is the "gossip" spec kind.
 	Engine string `json:"engine,omitempty"`
 	// Workers parallelises the ball engine (0/1 = sequential).
 	Workers int `json:"workers,omitempty"`
@@ -61,65 +64,55 @@ func (s *Spec) Normalize() {
 }
 
 // Validate implements engine.Payload: every registry reference must
-// resolve and the init spec must be well-formed, without materializing the
-// O(n) initial state.
+// resolve, the init spec must be well-formed, and the engine the spec runs
+// on (auto resolved by the same pick Run uses) must call the adversary at
+// the spec's timing — all without materializing the O(n) initial state.
 func (s *Spec) Validate() error {
 	if err := initspec.Check(s.Init); err != nil {
 		return err
 	}
-	_, err := s.components(0)
-	return err
+	cfg, err := s.components(0)
+	if err != nil {
+		return err
+	}
+	eng := pick(cfg.Engine, cfg.Adversary)
+	return core.CheckHook(cfg.Adversary, eng.String(), eng == EngineBall, cfg.Timing)
 }
 
 // Population implements engine.Payload.
 func (s *Spec) Population() int64 { return initspec.Size(s.Init) }
 
-// Run implements engine.Payload. The observer is installed
-// unconditionally: engine auto-selection depends on whether an observer is
-// present, so a run must not change engine (and hence trajectory) based on
-// whether anyone is watching — the RunContext observer is always non-nil,
-// so every run of the same spec picks the same engine and produces the
-// same result.
-//
-// The engine resolves here, at spec level (population and support bound
-// from the init registry, no O(n) pre-pass): runs landing on the
-// count-capable engines (count, twobin) build their start state with
-// BuildInitDist and execute through RunDist, so a huge-n count run never
-// materializes the O(n) value vector; only the per-process engines fall
-// back to BuildInit.
+// Run implements engine.Payload. The engine resolves here, from the
+// registry components alone, through the same pick Run uses: runs on the
+// count engine (count, twobin, and auto unless the adversary lacks a count
+// view) build their start state with BuildInitDist and execute through
+// RunDist, so a huge-n count run never materializes the O(n) value vector;
+// only the ball engine falls back to BuildInit.
 func (s *Spec) Run(ctx engine.RunContext) (engine.Result, error) {
 	cfg, err := s.components(ctx.MaxRounds)
 	if err != nil {
 		return engine.Result{}, err
 	}
 	cfg.Seed = ctx.Seed
-	n := initspec.Size(s.Init)
+	var n int64
 	cfg.Observer = func(round int, vals []Value, counts []int64) {
 		ctx.Observe(engine.LeaderRecord(round, n, vals, counts))
 	}
-	resolved := cfg.Engine
-	if resolved == EngineAuto && n > 0 {
-		// pick sees the observer already installed, so it resolves exactly
-		// as Run would after materializing (twobin is only ever explicit
-		// on the spec path).
-		resolved = pick(n, int(initspec.Support(s.Init)), cfg)
-		cfg.Engine = resolved
-	}
 	var out Result
-	switch resolved {
-	case EngineCount, EngineTwoBin:
-		d, err := initspec.BuildDist(s.Init)
-		if err != nil {
-			return engine.Result{}, err
-		}
-		out = RunDist(cfg, d)
-	default:
+	if pick(cfg.Engine, cfg.Adversary) == EngineBall {
 		cfg.Values, err = initspec.Build(s.Init)
 		if err != nil {
 			return engine.Result{}, err
 		}
-		n = int64(len(cfg.Values)) // unknown-size kinds: observe the real n
+		n = int64(len(cfg.Values))
 		out = Run(cfg)
+	} else {
+		d, err := initspec.BuildDist(s.Init)
+		if err != nil {
+			return engine.Result{}, err
+		}
+		n = d.N()
+		out = RunDist(cfg, d)
 	}
 	return engine.Result{
 		Rounds:      out.Rounds,
@@ -131,25 +124,18 @@ func (s *Spec) Run(ctx engine.RunContext) (engine.Result, error) {
 }
 
 // MaterializedSize implements engine.Materializer: the number of
-// per-process states the run will actually allocate. Runs landing on the
-// count-capable engines hold the distribution, O(support), never the
-// O(n) vector — which is what admission control should charge for.
+// per-process states the run will actually allocate. Runs on the count
+// engine hold the distribution, O(support), never the O(n) vector — which
+// is what admission control should charge for. The engine resolves
+// through the same pick Run uses.
 func (s *Spec) MaterializedSize() int64 {
 	n := initspec.Size(s.Init)
 	cfg, err := s.components(0)
-	if err != nil {
+	if err != nil || pick(cfg.Engine, cfg.Adversary) == EngineBall {
 		return n
 	}
-	cfg.Observer = func(int, []Value, []int64) {} // the spec path always observes
-	resolved := cfg.Engine
-	if resolved == EngineAuto && n > 0 {
-		resolved = pick(n, int(initspec.Support(s.Init)), cfg)
-	}
-	switch resolved {
-	case EngineCount, EngineTwoBin:
-		if k := initspec.Support(s.Init); k > 0 && k < n {
-			return k
-		}
+	if k := initspec.Support(s.Init); k > 0 && k < n {
+		return k
 	}
 	return n
 }

@@ -10,7 +10,7 @@
 // random choices are made (model.PostRoundAdversary — the Section 3 timing
 // used by Theorem 10).
 //
-// Three engines share one Result/Options contract:
+// Two engines share one Result/Options contract:
 //
 //   - BallEngine — exact per-ball simulation. O(n) memory, O(n·s) sampling
 //     per round. Supports every adversary hook, per-ball observers, the
@@ -23,11 +23,9 @@
 //     (randx.Rows): k^(s+1) rule calls, independent of n. For large
 //     support it samples every ball from an alias table instead, O(n·s).
 //     Both are distributed exactly like BallEngine (see the exactness and
-//     equivalence tests).
-//   - TwoBinEngine — the Section 3 two-bin case at count level with exact
-//     binomial round updates: L_{t+1} ~ Bin(L, 1−(1−p)²) + Bin(n−L, p²),
-//     p = L/n. O(1) memory and O(1) sampling per round, enabling the
-//     lower-bound experiments at n up to 2^62.
+//     equivalence tests). On the Section 3 two-bin case a median round is
+//     two binomials, L_{t+1} ~ Bin(L, 1−(1−p)²) + Bin(n−L, p²), p = L/n,
+//     so the lower-bound experiments run at n up to 2^62.
 //
 // All engines stop on consensus (the fixed point b_{t,1} = … = b_{t,n}), on
 // the paper's *almost stable consensus* — all but at most `AlmostSlack`
@@ -62,6 +60,40 @@ const (
 	// engines.
 	AfterChoices
 )
+
+// String returns the timing's spec name.
+func (t Timing) String() string {
+	if t == AfterChoices {
+		return "after-choices"
+	}
+	return "before-round"
+}
+
+// CheckHook returns an error, naming the adversary, the engine and the
+// timing, when a run would never call adv: per-ball engines (perBall) call
+// CorruptBalls before the round and CorruptAfter after the random choices,
+// and the count engine calls CorruptCounts at either timing. A nil
+// adversary always passes.
+func CheckHook(adv model.Adversary, engine string, perBall bool, t Timing) error {
+	var ok bool
+	hook := "CorruptCounts"
+	switch {
+	case adv == nil:
+		return nil
+	case !perBall:
+		_, ok = adv.(model.CountAdversary)
+	case t == AfterChoices:
+		_, ok = adv.(model.PostRoundAdversary)
+		hook = "CorruptAfter"
+	default:
+		_, ok = adv.(model.BallAdversary)
+		hook = "CorruptBalls"
+	}
+	if ok {
+		return nil
+	}
+	return fmt.Errorf("adversary %q has no %s, the only hook engine %q calls at timing %q", adv.Name(), hook, engine, t)
+}
 
 // Options configures a run. The zero value means: run to consensus or 2^20
 // rounds, no almost-stability detection, sequential execution.
@@ -465,6 +497,14 @@ func (e *CountEngine) Dist() ([]Value, []int64) {
 	return append([]Value(nil), e.vals...), append([]int64(nil), e.counts...)
 }
 
+// Count returns the number of balls holding v (0 when none does).
+func (e *CountEngine) Count(v Value) int64 {
+	if i, ok := slices.BinarySearch(e.vals, v); ok {
+		return e.counts[i]
+	}
+	return 0
+}
+
 // Round returns the number of rounds executed.
 func (e *CountEngine) Round() int { return e.round }
 
@@ -588,20 +628,41 @@ func (r *countRows) Move(to int32, c int64) {
 	}
 }
 
-// prune removes zero-count bins (adversaries may empty a bin).
+// prune removes zero-count bins (adversaries may empty a bin) and checks
+// the rest of what a count adversary returned: counts non-negative,
+// values strictly increasing, and the ball total unchanged.
 //
 //consensus:hotpath
 func (e *CountEngine) prune() {
+	if len(e.counts) != len(e.vals) {
+		e.rejectAdversary("returned values and counts of different lengths")
+	}
 	j := 0
-	for i := range e.vals {
-		if e.counts[i] > 0 {
+	var total int64
+	for i, c := range e.counts {
+		if c < 0 {
+			e.rejectAdversary("returned a negative count")
+		}
+		if i > 0 && e.vals[i-1] >= e.vals[i] {
+			e.rejectAdversary("returned values out of order")
+		}
+		total += c
+		if c > 0 {
 			e.vals[j] = e.vals[i]
-			e.counts[j] = e.counts[i]
+			e.counts[j] = c
 			j++
 		}
 	}
+	if total != e.n {
+		e.rejectAdversary("changed the ball total")
+	}
 	e.vals = e.vals[:j]
 	e.counts = e.counts[:j]
+}
+
+// rejectAdversary panics, naming the count adversary and what it broke.
+func (e *CountEngine) rejectAdversary(what string) {
+	panic(fmt.Sprintf("core: adversary %s %s", e.adv.Name(), what))
 }
 
 // Run executes rounds until a stop condition fires.
@@ -646,163 +707,4 @@ func (e *CountEngine) plurality() (Value, int64) {
 		}
 	}
 	return best, bestC
-}
-
-// TwoBinEngine simulates the two-bin median (= majority) dynamics exactly at
-// count level with O(1) work per round.
-type TwoBinEngine struct {
-	low, high Value
-	l         int64 // balls holding low
-	n         int64
-	allowed   []Value
-	adv       model.Adversary
-	opts      Options
-	g         *rng.Xoshiro256
-	round     int
-	// obsVals/obsCounts are the reusable two-slot distribution views handed
-	// to the observer and the count adversary each round; refilled before
-	// every use so neither callee's mutations leak into the next round.
-	obsVals   []Value
-	obsCounts []int64
-}
-
-// NewTwoBinEngine builds a two-bin engine with l balls holding low and n−l
-// holding high.
-func NewTwoBinEngine(n, l int64, low, high Value, adv model.Adversary, seed uint64, opts Options) *TwoBinEngine {
-	if n <= 0 || l < 0 || l > n {
-		panic("core: invalid two-bin counts")
-	}
-	if low >= high {
-		panic("core: two-bin needs low < high")
-	}
-	return &TwoBinEngine{
-		low: low, high: high, l: l, n: n,
-		allowed:   []Value{low, high},
-		adv:       adv,
-		opts:      opts,
-		g:         rng.NewXoshiro256(seed),
-		obsVals:   make([]Value, 2),
-		obsCounts: make([]int64, 2),
-	}
-}
-
-// Counts returns (low count, high count).
-func (e *TwoBinEngine) Counts() (int64, int64) { return e.l, e.n - e.l }
-
-// Round returns the number of rounds executed.
-func (e *TwoBinEngine) Round() int { return e.round }
-
-// Imbalance returns Δt = |R−L|/2, the paper's Section 3 imbalance
-// (half-integers occur for odd differences).
-func (e *TwoBinEngine) Imbalance() float64 {
-	r := e.n - e.l
-	d := r - e.l
-	if d < 0 {
-		d = -d
-	}
-	return float64(d) / 2
-}
-
-// Step executes one synchronous round: the adversary (count view), then the
-// exact binomial update
-//
-//	L' ~ Bin(L, 1−(1−p)²) + Bin(n−L, p²),  p = L/n.
-//
-// A ball in the low bin stays unless both its samples are high
-// (median(l,h,h) = h); a high ball moves to low iff both samples are low.
-//
-//consensus:hotpath
-func (e *TwoBinEngine) Step() {
-	if e.adv != nil && e.opts.Timing == BeforeRound {
-		e.corrupt()
-	}
-	p := float64(e.l) / float64(e.n)
-	stay := randx.Binomial(e.g, e.l, 1-(1-p)*(1-p))
-	join := randx.Binomial(e.g, e.n-e.l, p*p)
-	e.l = stay + join
-	if e.adv != nil && e.opts.Timing == AfterChoices {
-		e.corrupt()
-	}
-	e.round++
-}
-
-func (e *TwoBinEngine) corrupt() {
-	ca, ok := e.adv.(model.CountAdversary)
-	if !ok {
-		return
-	}
-	vals, counts := e.distView()
-	vals, counts = ca.CorruptCounts(e.round, vals, counts, e.allowed, e.g)
-	var l, total int64
-	for i, v := range vals {
-		switch v {
-		case e.low:
-			l += counts[i]
-		case e.high:
-			// accounted via total
-		default:
-			if counts[i] != 0 {
-				panic(fmt.Sprintf("core: adversary %s wrote value %d outside the two-bin support", e.adv.Name(), v))
-			}
-		}
-		total += counts[i]
-	}
-	if total != e.n {
-		panic(fmt.Sprintf("core: adversary %s changed the ball count (%d -> %d)", e.adv.Name(), e.n, total))
-	}
-	e.l = l
-}
-
-// Run executes rounds until a stop condition fires.
-func (e *TwoBinEngine) Run() Result {
-	maxRounds := e.opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = DefaultMaxRounds
-	}
-	tracker := newStabilityTracker(e.n, e.adv == nil, e.opts)
-	if w, c, stop, res := e.check(tracker, 0); stop {
-		return Result{Rounds: 0, Reason: res, Winner: w, WinnerCount: c, StableSince: tracker.since}
-	}
-	for e.round < maxRounds {
-		e.Step()
-		if w, c, stop, res := e.check(tracker, e.round); stop {
-			return Result{Rounds: e.round, Reason: res, Winner: w, WinnerCount: c, StableSince: tracker.since}
-		}
-	}
-	w, c := e.plurality()
-	return Result{Rounds: e.round, Reason: model.StopMaxRounds, Winner: w, WinnerCount: c}
-}
-
-//consensus:hotpath
-func (e *TwoBinEngine) check(tracker *stabilityTracker, round int) (Value, int64, bool, model.StopReason) {
-	w, c := e.plurality()
-	if e.opts.Observer != nil {
-		vals, counts := e.distView()
-		e.opts.Observer(round, vals, counts)
-	}
-	if reason, stop := tracker.observe(round, w, c); stop {
-		return w, c, true, reason
-	}
-	return w, c, false, 0
-}
-
-// distView refills and returns the engine-owned two-slot distribution
-// scratch — the per-round (vals, counts) view shared by the observer and
-// the adversary, allocation-free at steady state.
-//
-//consensus:hotpath
-func (e *TwoBinEngine) distView() ([]Value, []int64) {
-	vals, counts := e.obsVals[:2], e.obsCounts[:2]
-	vals[0], vals[1] = e.low, e.high
-	counts[0], counts[1] = e.l, e.n-e.l
-	return vals, counts
-}
-
-//consensus:hotpath
-func (e *TwoBinEngine) plurality() (Value, int64) {
-	r := e.n - e.l
-	if e.l >= r {
-		return e.low, e.l
-	}
-	return e.high, r
 }

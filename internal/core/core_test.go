@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/adversary"
+	"repro/internal/analysis"
 	"repro/internal/assign"
 	"repro/internal/model"
 	"repro/internal/stats"
@@ -295,9 +297,22 @@ func TestCountEngineWithBalancerStallsThenReleased(t *testing.T) {
 	}
 }
 
-func TestTwoBinEngineConverges(t *testing.T) {
-	e := NewTwoBinEngine(1000, 500, 1, 2, nil, 17, Options{MaxRounds: 5000})
-	res := e.Run()
+// twoBin is the Section 3 two-bin process on the count engine: l balls at
+// value 1 and n−l at value 2 under the median rule (an empty side is left
+// out of the distribution).
+func twoBin(n, l int64, adv model.Adversary, seed uint64, opts Options) *CountEngine {
+	var d assign.Dist
+	for i, c := range []int64{l, n - l} {
+		if c > 0 {
+			d.Vals = append(d.Vals, Value(i+1))
+			d.Counts = append(d.Counts, c)
+		}
+	}
+	return NewCountEngineDist(d, rules.Median{}, adv, seed, opts)
+}
+
+func TestCountEngineTwoBinConverges(t *testing.T) {
+	res := twoBin(1000, 500, nil, 17, Options{MaxRounds: 5000}).Run()
 	if res.Reason != model.StopConsensus {
 		t.Fatalf("two-bin did not converge: %+v", res)
 	}
@@ -309,78 +324,87 @@ func TestTwoBinEngineConverges(t *testing.T) {
 	}
 }
 
-func TestTwoBinEngineMatchesBallEngineStatistically(t *testing.T) {
+func TestCountEngineTwoBinMatchesBallEngineStatistically(t *testing.T) {
 	const n = 800
-	var tb, ball []float64
+	var count, ball []float64
 	for s := uint64(0); s < 30; s++ {
-		tb = append(tb, float64(NewTwoBinEngine(n, n/2, 1, 2, nil, s, Options{}).Run().Rounds))
+		count = append(count, float64(twoBin(n, n/2, nil, s, Options{}).Run().Rounds))
 		cfg := assign.TwoValue(n, n/2, 1, 2)
 		ball = append(ball, float64(NewBallEngine(cfg, rules.Median{}, nil, s+500, Options{}).Run().Rounds))
 	}
-	ma, mb := stats.Mean(tb), stats.Mean(ball)
-	if math.Abs(ma-mb) > 0.35*(ma+mb)/2+2 {
-		t.Fatalf("two-bin %.2f vs ball %.2f mean rounds", ma, mb)
+	mc, mb := stats.Mean(count), stats.Mean(ball)
+	if math.Abs(mc-mb) > 0.35*(mc+mb)/2+2 {
+		t.Fatalf("two-bin count %.2f vs ball %.2f mean rounds", mc, mb)
 	}
 }
 
-func TestTwoBinEngineImbalance(t *testing.T) {
-	e := NewTwoBinEngine(100, 20, 1, 2, nil, 1, Options{})
-	if got := e.Imbalance(); got != 30 {
-		t.Fatalf("imbalance %v, want 30", got)
-	}
-	l, r := e.Counts()
-	if l != 20 || r != 80 {
-		t.Fatalf("counts %d,%d", l, r)
-	}
-}
-
-func TestTwoBinEnginePanics(t *testing.T) {
-	cases := []func(){
-		func() { NewTwoBinEngine(0, 0, 1, 2, nil, 1, Options{}) },
-		func() { NewTwoBinEngine(10, 11, 1, 2, nil, 1, Options{}) },
-		func() { NewTwoBinEngine(10, -1, 1, 2, nil, 1, Options{}) },
-		func() { NewTwoBinEngine(10, 5, 2, 2, nil, 1, Options{}) },
-	}
-	for i, f := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("case %d: expected panic", i)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestTwoBinEngineBalancerKeepsBalance(t *testing.T) {
+func TestCountEngineBalancerKeepsTwoBinSplit(t *testing.T) {
 	// With budget n/2 (absurdly powerful) the balancer holds a perfect
 	// 50/50 split indefinitely.
 	const n = 10000
-	adv := adversary.NewBalancer(adversary.Fixed(n/2), 1, 2)
-	e := NewTwoBinEngine(n, n/2, 1, 2, adv, 3, Options{})
+	e := twoBin(n, n/2, adversary.NewBalancer(adversary.Fixed(n/2), 1, 2), 3, Options{})
 	for r := 0; r < 50; r++ {
 		e.Step()
 	}
-	if d := e.Imbalance(); d > float64(n)/4 {
+	if d := analysis.TwoBin([]int64{e.Count(1), e.Count(2)}).Delta; d > float64(n)/4 {
 		t.Fatalf("imbalance %v despite full-power balancer", d)
 	}
-	res := NewTwoBinEngine(n, n/2, 1, 2, adversary.NewBalancer(adversary.Fixed(n/2), 1, 2), 4,
-		Options{MaxRounds: 300}).Run()
+	res := twoBin(n, n/2, adversary.NewBalancer(adversary.Fixed(n/2), 1, 2), 4, Options{MaxRounds: 300}).Run()
 	if res.Reason != model.StopMaxRounds {
 		t.Fatalf("expected stall, got %+v", res)
 	}
 }
 
-func TestTwoBinEngineRejectsForeignValues(t *testing.T) {
-	bad := adversary.NewHider(adversary.Fixed(5), 99) // 99 is outside {1,2}
-	e := NewTwoBinEngine(100, 50, 1, 2, bad, 1, Options{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for foreign value")
+// countFuncStub is a count adversary whose CorruptCounts is f.
+type countFuncStub struct {
+	name string
+	f    func(vals []Value, counts []int64) ([]Value, []int64)
+}
+
+func (s countFuncStub) Name() string     { return s.name }
+func (s countFuncStub) Budget(n int) int { return n }
+func (s countFuncStub) CorruptCounts(round int, vals []Value, counts []int64, allowed []Value, r model.Rand) ([]Value, []int64) {
+	return s.f(vals, counts)
+}
+
+// TestCountEngineRejectsBadAdversaryOutput: the count engine checks what a
+// count adversary returns (counts non-negative, values strictly
+// increasing, the ball total unchanged) at either timing, and panics with
+// the adversary's name instead of running on a corrupt state.
+func TestCountEngineRejectsBadAdversaryOutput(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		f    func(vals []Value, counts []int64) ([]Value, []int64)
+	}{
+		{"adds-a-ball", func(vals []Value, counts []int64) ([]Value, []int64) {
+			counts[0]++
+			return vals, counts
+		}},
+		{"negative-count", func(vals []Value, counts []int64) ([]Value, []int64) {
+			counts[1] += counts[0] + 1
+			counts[0] = -1
+			return vals, counts
+		}},
+		{"unsorted", func(vals []Value, counts []int64) ([]Value, []int64) {
+			return append([]Value{9}, vals...), append([]int64{0}, counts...)
+		}},
+		{"short-counts", func(vals []Value, counts []int64) ([]Value, []int64) {
+			return vals, counts[:len(counts)-1]
+		}},
+	} {
+		for _, timing := range []Timing{BeforeRound, AfterChoices} {
+			d := assign.Dist{Vals: []Value{1, 2, 3}, Counts: []int64{100, 100, 100}}
+			e := NewCountEngineDist(d, rules.Median{}, countFuncStub{tc.name, tc.f}, 1, Options{Timing: timing})
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), tc.name) {
+						t.Errorf("%s at %v: recovered %v, want a panic naming the adversary", tc.name, timing, r)
+					}
+				}()
+				e.Step()
+			}()
 		}
-	}()
-	e.Step()
+	}
 }
 
 // Reviver vs minimum rule: the paper's introduction attack. The minimum
@@ -467,15 +491,14 @@ func TestQuickTwoValueValidity(t *testing.T) {
 	}
 }
 
-// Property: TwoBinEngine counts always stay within [0, n].
+// Property: two-bin counts on the count engine always stay within [0, n].
 func TestQuickTwoBinCountsBounded(t *testing.T) {
 	f := func(seed uint16, lRaw uint16) bool {
 		const n = 1000
-		l := int64(lRaw) % (n + 1)
-		e := NewTwoBinEngine(n, l, 1, 2, nil, uint64(seed), Options{})
+		e := twoBin(n, int64(lRaw)%(n+1), nil, uint64(seed), Options{})
 		for r := 0; r < 30; r++ {
 			e.Step()
-			lo, hi := e.Counts()
+			lo, hi := e.Count(1), e.Count(2)
 			if lo < 0 || hi < 0 || lo+hi != n {
 				return false
 			}
@@ -498,13 +521,13 @@ func TestResultStringRenders(t *testing.T) {
 func TestEngineRoundAccessors(t *testing.T) {
 	cfg := assign.Config(assign.EvenBlocks(100, 4))
 	ce := NewCountEngine(cfg, rules.Median{}, nil, 1, Options{})
-	te := NewTwoBinEngine(100, 40, 1, 2, nil, 1, Options{})
-	if ce.Round() != 0 || te.Round() != 0 {
+	be := NewBallEngine(cfg, rules.Median{}, nil, 1, Options{})
+	if ce.Round() != 0 || be.Round() != 0 {
 		t.Fatal("fresh engines must report round 0")
 	}
 	ce.Step()
-	te.Step()
-	if ce.Round() != 1 || te.Round() != 1 {
+	be.Step()
+	if ce.Round() != 1 || be.Round() != 1 {
 		t.Fatal("Round() must count executed steps")
 	}
 }
@@ -558,11 +581,56 @@ func (s *countBalancerStub) CorruptCounts(round int, vals []Value, counts []int6
 	return vals, counts
 }
 
+// TestCountEngineTwoBinImbalance: Count reads a bin's load by value, so
+// analysis.TwoBin gives the Section 3 imbalance of a two-bin run.
+func TestCountEngineTwoBinImbalance(t *testing.T) {
+	e := twoBin(100, 20, nil, 1, Options{})
+	if l, r := e.Count(1), e.Count(2); l != 20 || r != 80 || e.Count(3) != 0 {
+		t.Fatalf("counts %d,%d (and %d at an absent value)", l, r, e.Count(3))
+	}
+	if got := analysis.TwoBin([]int64{e.Count(1), e.Count(2)}).Delta; got != 30 {
+		t.Fatalf("imbalance %v, want 30", got)
+	}
+}
+
+// TestTwoBinImbalanceAtConsensus: a two-bin run with one side empty is at
+// consensus from round 0, and the empty side counts 0, so Δ = n/2.
 func TestTwoBinImbalanceAtConsensus(t *testing.T) {
-	e := NewTwoBinEngine(100, 0, 1, 2, nil, 1, Options{})
-	if got := e.Imbalance(); got != 50 {
+	e := twoBin(100, 0, nil, 1, Options{})
+	if got := analysis.TwoBin([]int64{e.Count(1), e.Count(2)}).Delta; got != 50 {
 		t.Fatalf("one-sided imbalance Δ = %v, want 50 (= (Y−X)/2)", got)
 	}
+	if res := e.Run(); res.Rounds != 0 || res.Reason != model.StopConsensus || res.Winner != 2 {
+		t.Fatalf("one-sided start: %+v, want consensus on 2 at round 0", res)
+	}
+}
+
+// TestCountEngineDistPanics: the distribution constructor rejects what no
+// run can start from.
+func TestCountEngineDistPanics(t *testing.T) {
+	for name, d := range map[string]assign.Dist{
+		"empty":      {},
+		"mismatched": {Vals: []Value{1, 2}, Counts: []int64{5}},
+		"zero":       {Vals: []Value{1, 2}, Counts: []int64{0, 5}},
+		"negative":   {Vals: []Value{1, 2}, Counts: []int64{-1, 5}},
+		"unsorted":   {Vals: []Value{2, 1}, Counts: []int64{5, 5}},
+		"repeated":   {Vals: []Value{1, 1}, Counts: []int64{5, 5}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			NewCountEngineDist(d, rules.Median{}, nil, 1, Options{})
+		}()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("nil rule: expected panic")
+		}
+	}()
+	NewCountEngineDist(assign.Dist{Vals: []Value{1}, Counts: []int64{1}}, nil, nil, 1, Options{})
 }
 
 func TestCountEnginePanicsOnEmpty(t *testing.T) {
@@ -604,15 +672,15 @@ func TestCountEngineRoundAllocs(t *testing.T) {
 	}
 }
 
-// TestTwoBinObservedRoundAllocs pins the observer + adversary round path
-// of the two-bin engine: the per-round (vals, counts) views handed to
-// both the observer and the count adversary are engine-owned scratch
-// (distView), so an observed, adversarial steady-state round must not
-// touch the heap.
+// TestTwoBinObservedRoundAllocs pins the observed, balancer-attacked
+// two-bin round of the count engine at n = 2²⁰: the observer sees the
+// engine's own vectors, the balancer edits them in place and prune checks
+// them in one pass, so a steady-state round with all three must not touch
+// the heap.
 func TestTwoBinObservedRoundAllocs(t *testing.T) {
 	tracker := newStabilityTracker(1<<20, false, Options{})
 	var seen int64
-	eng := NewTwoBinEngine(1<<20, 1<<19, 1, 2, adversary.NewBalancer(adversary.Fixed(64), 1, 2), 1, Options{
+	eng := twoBin(1<<20, 1<<19, adversary.NewBalancer(adversary.Fixed(64), 1, 2), 1, Options{
 		Observer: func(round int, vals []Value, counts []int64) {
 			seen += counts[0]
 		},

@@ -16,8 +16,8 @@
 // absorption times come from direct linear algebra rather than simulation.
 // The package is used three ways:
 //
-//   - to validate the TwoBinEngine's binomial-update implementation
-//     (its empirical absorption times must match the exact expectation),
+//   - to validate the count engine's binomial round on two values (its
+//     empirical absorption times must match the exact expectation),
 //   - to validate Lemma 12/15-style drift claims at small n where "w.h.p."
 //     statements can be checked against exact probabilities, and
 //   - to report exact expected convergence times (the "exact" spec kind).

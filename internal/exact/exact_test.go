@@ -6,8 +6,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/assign"
 	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/rng"
+	"repro/rules"
 )
 
 func TestBinomialPMFSumsAndMean(t *testing.T) {
@@ -151,10 +154,17 @@ func TestAbsorptionTimesLinearSystemResidual(t *testing.T) {
 	}
 }
 
-func TestExactMatchesTwoBinEngine(t *testing.T) {
-	// The Monte-Carlo TwoBinEngine must reproduce the exact expected
-	// absorption time. This is the ground-truth cross-validation of the
-	// engine's binomial update.
+// twoBinRun runs the Section 3 two-bin process on the count engine: start
+// balls at value 1 and n−start at value 2 under the median rule.
+func twoBinRun(n, start int64, seed uint64) core.Result {
+	d := assign.Dist{Vals: []model.Value{1, 2}, Counts: []int64{start, n - start}}
+	return core.NewCountEngineDist(d, rules.Median{}, nil, seed, core.Options{}).Run()
+}
+
+func TestExactMatchesCountEngine(t *testing.T) {
+	// The count engine on two values must reproduce the exact expected
+	// absorption time. This is the ground-truth cross-validation of its
+	// binomial row round.
 	const n, start, trials = 60, 30, 4000
 	c := NewChain(n)
 	want := c.AbsorptionTimes()[start]
@@ -162,8 +172,7 @@ func TestExactMatchesTwoBinEngine(t *testing.T) {
 	g := rng.NewXoshiro256(12345)
 	var sum float64
 	for k := 0; k < trials; k++ {
-		e := core.NewTwoBinEngine(n, start, 1, 2, nil, g.Uint64(), core.Options{})
-		sum += float64(e.Run().Rounds)
+		sum += float64(twoBinRun(n, start, g.Uint64()).Rounds)
 	}
 	got := sum / trials
 	// Standard error of the mean is ≈ sd/√trials; absorption times at
@@ -174,7 +183,7 @@ func TestExactMatchesTwoBinEngine(t *testing.T) {
 	t.Logf("exact %0.4f, monte-carlo %0.4f over %d trials", want, got, trials)
 }
 
-func TestWinProbabilityMatchesTwoBinEngine(t *testing.T) {
+func TestExactWinProbabilityMatchesCountEngine(t *testing.T) {
 	const n, start, trials = 40, 18, 4000
 	c := NewChain(n)
 	want := c.WinProbabilities()[start]
@@ -182,9 +191,7 @@ func TestWinProbabilityMatchesTwoBinEngine(t *testing.T) {
 	g := rng.NewXoshiro256(999)
 	wins := 0
 	for k := 0; k < trials; k++ {
-		e := core.NewTwoBinEngine(n, start, 1, 2, nil, g.Uint64(), core.Options{})
-		res := e.Run()
-		if res.Winner == 1 {
+		if twoBinRun(n, start, g.Uint64()).Winner == 1 {
 			wins++
 		}
 	}

@@ -24,7 +24,8 @@ import (
 
 // Left and right bin values of the two-bin state space, matching the
 // scalar "twovalue" init's defaults (low=1, high=2) so exact results read
-// like a twobin run's: chain state i means i balls hold ValueLeft.
+// like a two-value median run's: chain state i means i balls hold
+// ValueLeft.
 const (
 	ValueLeft  = 1
 	ValueRight = 2
@@ -41,7 +42,8 @@ const (
 // MaxSpecN bounds the exact kind's population: the absorption-time and
 // win-probability solves are O(n³) dense linear algebra, which stays well
 // under a second up to a few hundred states. Larger populations belong to
-// the median kind's twobin engine (O(1) per round at n up to 2^62).
+// the median kind's count engine (O(1) per round on two values at n up to
+// 2^62).
 const MaxSpecN = 400
 
 // Propagation stops when the absorbed mass reaches defaultCDFTarget or
@@ -86,7 +88,7 @@ func (s *Spec) Normalize() {
 // the analytic path: the O(n³) solve budget, not memory, is what limits it.
 func (s *Spec) Validate() error {
 	if s.N < 2 || s.N > MaxSpecN {
-		return fmt.Errorf("exact: n %d outside [2, %d] — the analytic solve is O(n³); use the median kind's twobin engine for larger n", s.N, MaxSpecN)
+		return fmt.Errorf("exact: n %d outside [2, %d] — the analytic solve is O(n³); use the median kind's count engine for larger n", s.N, MaxSpecN)
 	}
 	switch s.Init {
 	case "", InitPoint:

@@ -8,6 +8,7 @@ import (
 	"repro/adversary"
 	"repro/engine"
 	"repro/internal/assign"
+	"repro/internal/core"
 	"repro/internal/initspec"
 	"repro/internal/model"
 	"repro/rules"
@@ -95,7 +96,9 @@ func (s *Spec) Normalize() {
 	}
 }
 
-// Validate implements engine.Payload.
+// Validate implements engine.Payload. The network calls only
+// CorruptBalls, at the start of each round, so an adversary without it is
+// rejected rather than run unattacked.
 func (s *Spec) Validate() error {
 	if err := initspec.Check(s.Init); err != nil {
 		return err
@@ -104,7 +107,11 @@ func (s *Spec) Validate() error {
 		return err
 	}
 	if s.Adversary != nil {
-		if _, err := s.Adversary.New(); err != nil {
+		adv, err := s.Adversary.New()
+		if err != nil {
+			return err
+		}
+		if err := core.CheckHook(adv, "gossip", true, core.BeforeRound); err != nil {
 			return err
 		}
 	}

@@ -58,7 +58,8 @@ type Spec struct {
 // the count-level engines start without ever allocating the O(n) value
 // vector. Support, when non-nil, reports an upper bound on the number of
 // distinct values the spec realizes, computable from the spec alone;
-// engine auto-selection uses it in place of a materialized support count.
+// admission control (the median kind's MaterializedSize) uses it in place
+// of a materialized support count.
 type Generator struct {
 	Generate     func(s Spec) ([]Value, error)
 	GenerateDist func(s Spec) (assign.Dist, error)
@@ -126,8 +127,8 @@ func BuildDist(s Spec) (assign.Dist, error) {
 
 // Support reports an upper bound on the number of distinct values the init
 // spec realizes, computed from the spec alone (no O(n) pre-pass). 0 means
-// unknown (unregistered kind or no Support hook), which engine
-// auto-selection treats as "materialize to find out".
+// unknown (unregistered kind or no Support hook), which admission control
+// charges as the full population.
 func Support(s Spec) int64 {
 	g, err := generatorFor(s.Kind)
 	if err != nil || g.Support == nil {

@@ -62,7 +62,7 @@ type Adversary interface {
 // BallAdversary corrupts a per-ball state vector in place. Implementations
 // must change at most Budget(len(state)) entries and must write only values
 // from allowed (the initial value set, per the paper's signed-values
-// assumption). Engines verify both constraints in debug builds.
+// assumption). Engines do not check either constraint.
 type BallAdversary interface {
 	Adversary
 	// CorruptBalls may mutate up to Budget(len(state)) entries of state.
@@ -77,7 +77,9 @@ type BallAdversary interface {
 // each. Implementations move balls between bins by decrementing one count
 // and incrementing another; the total number of balls moved must not exceed
 // Budget(n) and counts must remain non-negative. New bins may be introduced
-// only for values in allowed.
+// only for values in allowed. The count engine panics, naming the
+// adversary, when the returned counts are negative or no longer sum to n,
+// or the returned vals are not strictly increasing.
 //
 // The engine passes counts by pointer-shared slice; implementations that
 // need to add a bin return the extended vectors.

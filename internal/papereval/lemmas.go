@@ -78,10 +78,11 @@ func E9Lemma15Drift(s Scale) Report {
 		hits := 0
 		var ratio stats.Counter
 		for tr := 0; tr < trials; tr++ {
-			e := core.NewTwoBinEngine(n, l, 1, 2, nil, g.Uint64(), core.Options{})
+			e := twoBinEngine(n, l, g.Uint64())
 			e.Step()
-			ratio.Add(e.Imbalance() / float64(delta))
-			if e.Imbalance() >= float64(delta)*4/3 {
+			d := analysis.TwoBin([]int64{e.Count(1), e.Count(2)}).Delta
+			ratio.Add(d / float64(delta))
+			if d >= float64(delta)*4/3 {
 				hits++
 			}
 		}
@@ -127,11 +128,9 @@ func E10Lemma14CLT(s Scale) Report {
 	for _, c := range []float64{0.1, 0.25, 0.5} {
 		hits := 0
 		for tr := 0; tr < trials; tr++ {
-			e := core.NewTwoBinEngine(n, n/2, 1, 2, nil, g.Uint64(), core.Options{})
+			e := twoBinEngine(n, n/2, g.Uint64())
 			e.Step()
-			l, r := e.Counts()
-			psi := float64(r-l) / 2
-			if psi >= c*math.Sqrt(float64(n)) {
+			if analysis.TwoBin([]int64{e.Count(1), e.Count(2)}).Psi >= c*math.Sqrt(float64(n)) {
 				hits++
 			}
 		}
@@ -154,6 +153,14 @@ func E10Lemma14CLT(s Scale) Report {
 		Tables:  []*experiment.Table{tab},
 		Verdict: verdict,
 	}
+}
+
+// twoBinEngine is the Section 3 two-bin process on the count engine: l
+// balls at value 1 and n−l at value 2, both positive, under the median
+// rule.
+func twoBinEngine(n, l int64, seed uint64) *core.CountEngine {
+	d := assign.Dist{Vals: []model.Value{1, 2}, Counts: []int64{l, n - l}}
+	return core.NewCountEngineDist(d, rules.Median{}, nil, seed, core.Options{})
 }
 
 // E11Thm20Phases instruments the Theorem 20 induction: the candidate-bin
@@ -567,13 +574,13 @@ func E18MultidimFutureWork(s Scale) Report {
 // E19ExactValidation cross-validates the Monte-Carlo engines against the
 // exact two-bin Markov chain: for small populations the expected
 // absorption time and the win probability of the minority value are
-// computed by dense linear algebra (internal/exact) and compared with
-// TwoBinEngine estimates. Agreement here certifies the binomial-update
-// implementation every large-n experiment relies on.
+// computed by dense linear algebra (internal/exact) and compared with the
+// count engine's estimates on two values. Agreement here certifies the
+// binomial row round every large-n two-bin experiment relies on.
 func E19ExactValidation(s Scale) Report {
 	trials := 400 * s.Reps
 	tab := &experiment.Table{
-		Title:  fmt.Sprintf("exact chain vs TwoBinEngine (%d trials per cell)", trials),
+		Title:  fmt.Sprintf("exact chain vs the count engine on two values (%d trials per cell)", trials),
 		Header: []string{"n", "start", "E[rounds] exact", "E[rounds] simulated", "win-prob exact", "win-prob simulated"},
 	}
 	worstT, worstW := 0.0, 0.0
@@ -587,8 +594,7 @@ func E19ExactValidation(s Scale) Report {
 		var sumR float64
 		wins := 0
 		for k := 0; k < trials; k++ {
-			e := core.NewTwoBinEngine(int64(tc.n), int64(tc.start), 1, 2, nil, g.Uint64(), core.Options{})
-			res := e.Run()
+			res := twoBinEngine(int64(tc.n), int64(tc.start), g.Uint64()).Run()
 			sumR += float64(res.Rounds)
 			if res.Winner == 1 {
 				wins++

@@ -384,11 +384,13 @@ func TestStreamFollowsLiveRun(t *testing.T) {
 	c := client.New(ts.URL)
 	ctx := context.Background()
 
-	// voter on a ball engine converges in Θ(n) rounds — slow enough that
-	// the stream attaches while the run is live.
+	// voter on the ball engine converges in Θ(n) rounds of Θ(n) work —
+	// slow enough that the stream attaches while the run is live (auto
+	// would pick the count engine, whose rounds cost O(1)).
 	spec := service.Spec{Seed: 3, MaxRounds: 1 << 20, Payload: &service.MedianSpec{
-		Init: service.InitSpec{Kind: "twovalue", N: 500},
-		Rule: service.RuleSpec{Name: "voter"},
+		Init:   service.InitSpec{Kind: "twovalue", N: 500},
+		Rule:   service.RuleSpec{Name: "voter"},
+		Engine: "ball",
 	}}
 	view, err := c.Submit(ctx, spec)
 	if err != nil {

@@ -101,10 +101,12 @@ func TestCacheHitDeterminism(t *testing.T) {
 func TestCancelRunning(t *testing.T) {
 	s := newTestService(t, Options{Workers: 1})
 	defer s.Close()
-	// A voter run large enough to take a while under MaxRounds pressure.
+	// A voter run large enough to take a while under MaxRounds pressure:
+	// Θ(n) rounds of Θ(n) work on the ball engine.
 	spec := Spec{Seed: 2, MaxRounds: 1 << 20, Payload: &MedianSpec{
-		Init: InitSpec{Kind: "twovalue", N: 4000},
-		Rule: RuleSpec{Name: "voter"},
+		Init:   InitSpec{Kind: "twovalue", N: 4000},
+		Rule:   RuleSpec{Name: "voter"},
+		Engine: "ball",
 	}}
 	view, err := s.Submit(spec)
 	if err != nil {
@@ -283,8 +285,9 @@ func TestCancelQueued(t *testing.T) {
 	s := newTestService(t, Options{Workers: 1})
 	defer s.Close()
 	blocker := Spec{Seed: 4, MaxRounds: 1 << 20, Payload: &MedianSpec{
-		Init: InitSpec{Kind: "twovalue", N: 4000},
-		Rule: RuleSpec{Name: "voter"},
+		Init:   InitSpec{Kind: "twovalue", N: 4000},
+		Rule:   RuleSpec{Name: "voter"},
+		Engine: "ball",
 	}}
 	b, err := s.Submit(blocker)
 	if err != nil {
@@ -314,16 +317,18 @@ func TestCancelQueued(t *testing.T) {
 func TestCloseCancelsQueued(t *testing.T) {
 	s := newTestService(t, Options{Workers: 1})
 	blocker := Spec{Seed: 6, MaxRounds: 1 << 20, Payload: &MedianSpec{
-		Init: InitSpec{Kind: "twovalue", N: 4000},
-		Rule: RuleSpec{Name: "voter"},
+		Init:   InitSpec{Kind: "twovalue", N: 4000},
+		Rule:   RuleSpec{Name: "voter"},
+		Engine: "ball",
 	}}
 	b, err := s.Submit(blocker)
 	if err != nil {
 		t.Fatal(err)
 	}
 	queued, err := s.Submit(Spec{Seed: 7, MaxRounds: 1 << 20, Payload: &MedianSpec{
-		Init: InitSpec{Kind: "twovalue", N: 4000},
-		Rule: RuleSpec{Name: "voter"},
+		Init:   InitSpec{Kind: "twovalue", N: 4000},
+		Rule:   RuleSpec{Name: "voter"},
+		Engine: "ball",
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -427,12 +432,13 @@ func TestJobEvictionLiveHead(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, s, cached.ID)
-	// Voter runs at this n outlast the test by far; both are cancelled
-	// below.
+	// Voter runs on the ball engine at this n outlast the test by far;
+	// both are cancelled below.
 	blocker := func(seed uint64) Spec {
 		return Spec{Seed: seed, MaxRounds: 1 << 20, Payload: &MedianSpec{
-			Init: InitSpec{Kind: "twovalue", N: 20000},
-			Rule: RuleSpec{Name: "voter"},
+			Init:   InitSpec{Kind: "twovalue", N: 20000},
+			Rule:   RuleSpec{Name: "voter"},
+			Engine: "ball",
 		}}
 	}
 	running, err := s.Submit(blocker(2))
@@ -634,8 +640,9 @@ func TestCoalesceInFlight(t *testing.T) {
 	s := newTestService(t, Options{Workers: 1})
 	defer s.Close()
 	spec := Spec{Seed: 8, MaxRounds: 1 << 20, Payload: &MedianSpec{
-		Init: InitSpec{Kind: "twovalue", N: 4000},
-		Rule: RuleSpec{Name: "voter"},
+		Init:   InitSpec{Kind: "twovalue", N: 4000},
+		Rule:   RuleSpec{Name: "voter"},
+		Engine: "ball",
 	}}
 	first, err := s.Submit(spec)
 	if err != nil {
@@ -775,10 +782,19 @@ func TestSubmitPopulationLimit(t *testing.T) {
 		t.Fatal("population above MaxN must be rejected")
 	}
 	if _, err := s.Submit(Spec{Payload: &MedianSpec{
+		Init:   InitSpec{Kind: "blocks", Counts: []int64{600, 600}},
+		Rule:   RuleSpec{Name: "median"},
+		Engine: "ball",
+	}}); err == nil {
+		t.Fatal("blocks population above MaxN must be rejected on the ball engine")
+	}
+	// On auto the same spec runs on the count engine, which holds its two
+	// values, not its 1200 processes.
+	if _, err := s.Submit(Spec{Payload: &MedianSpec{
 		Init: InitSpec{Kind: "blocks", Counts: []int64{600, 600}},
 		Rule: RuleSpec{Name: "median"},
-	}}); err == nil {
-		t.Fatal("blocks population above MaxN must be rejected")
+	}}); err != nil {
+		t.Fatalf("blocks population on auto must be admitted: %v", err)
 	}
 	if _, err := s.Submit(Spec{Seed: 1, Payload: &MedianSpec{
 		Init: InitSpec{Kind: "twovalue", N: 1000},
@@ -843,12 +859,10 @@ func TestFinishedJobsShareTheirEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Payload.(*MedianSpec).Engine = "ball"
 	res, err := Execute(spec.Normalize(), func(r RoundRecord) { want = append(want, r) }, nil)
 	if err != nil || len(want) != res.Rounds+1 {
 		t.Fatalf("reference run: %d records, %v", len(want), err)
 	}
-	spec.Payload.(*MedianSpec).Engine = ""
 	waitDone(t, s, first.ID)
 	ran := check(s, first.ID, "run")
 	hit, err := s.Submit(spec)

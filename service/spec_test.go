@@ -1,7 +1,9 @@
 package service
 
 import (
+	"cmp"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -717,6 +719,82 @@ func TestExecuteBadEngineCombination(t *testing.T) {
 	})
 	if _, err := Execute(spec, nil, nil); err == nil {
 		t.Fatal("expected an error for twobin on 100 distinct values")
+	}
+}
+
+// TestTwoBinRunsTheSpecsRule: the twobin engine is the count engine on at
+// most two values, so it applies the spec's rule — a twobin spec and the
+// same spec on count return identical Results at equal seed.
+func TestTwoBinRunsTheSpecsRule(t *testing.T) {
+	for _, rule := range []string{"median", "minimum", "maximum", "voter"} {
+		for seed := uint64(1); seed <= 20; seed++ {
+			run := func(eng string) engine.Result {
+				res, err := Execute(medianSpec(seed, MedianSpec{
+					Init:   InitSpec{Kind: "twovalue", N: 1000},
+					Rule:   RuleSpec{Name: rule},
+					Engine: eng,
+				}), nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			if twobin, count := run("twobin"), run("count"); !reflect.DeepEqual(twobin, count) {
+				t.Fatalf("rule %s, seed %d: twobin %+v, count %+v", rule, seed, twobin, count)
+			}
+		}
+	}
+}
+
+// TestValidateAdversaryHooks: a median or gossip spec whose engine never
+// calls its adversary at the spec's timing is rejected, naming the
+// adversary, the engine and the timing; auto resolves as the run does.
+func TestValidateAdversaryHooks(t *testing.T) {
+	for _, tc := range []struct {
+		kind, engine, timing, adv string
+		ok                        bool
+		named                     string // the engine the error names
+	}{
+		{KindMedian, "ball", "before-round", "median-splitter", false, "ball"},
+		{KindMedian, "count", "before-round", "flipper", false, "count"},
+		{KindMedian, "twobin", "after-choices", "flipper", false, "twobin"},
+		{KindMedian, "ball", "after-choices", "hider", false, "ball"},
+		{KindMedian, "ball", "after-choices", "random-noise", false, "ball"},
+		{KindMedian, "ball", "after-choices", "reviver", false, "ball"},
+		{KindMedian, "auto", "after-choices", "flipper", false, "ball"},
+		{KindMedian, "ball", "before-round", "flipper", true, ""},
+		{KindMedian, "ball", "before-round", "hider", true, ""},
+		{KindMedian, "ball", "after-choices", "balancer", true, ""},
+		{KindMedian, "count", "after-choices", "hider", true, ""},
+		{KindMedian, "twobin", "before-round", "median-splitter", true, ""},
+		{KindMedian, "auto", "before-round", "median-splitter", true, ""},
+		{KindMedian, "auto", "before-round", "flipper", true, ""},
+		{KindMedian, "auto", "after-choices", "random-noise", true, ""},
+		{KindGossip, "", "", "median-splitter", false, "gossip"},
+		{KindGossip, "", "", "flipper", true, ""},
+		{KindGossip, "", "", "balancer", true, ""},
+	} {
+		adv := &AdversarySpec{Name: tc.adv, Budget: adversary.BudgetSpec{Kind: "fixed", Factor: 1}, Params: advParamsFor(tc.adv)}
+		init := InitSpec{Kind: "twovalue", N: 100}
+		spec := Spec{Kind: tc.kind, Seed: 1, Payload: &GossipSpec{Init: init, Adversary: adv}}
+		if tc.kind == KindMedian {
+			spec.Payload = &MedianSpec{Init: init, Rule: RuleSpec{Name: "median"}, Adversary: adv, Engine: tc.engine, Timing: tc.timing}
+		}
+		label := fmt.Sprintf("%s/%s/%s/%s", tc.kind, tc.engine, tc.timing, tc.adv)
+		err := spec.Normalize().Validate()
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s rejected: %v", label, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%s accepted, but the engine never calls the adversary", label)
+		case !tc.ok:
+			timing := cmp.Or(tc.timing, "before-round")
+			for _, name := range []string{tc.adv, tc.named, timing} {
+				if !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
+					t.Errorf("%s: error %q does not name %q", label, err, name)
+				}
+			}
+		}
 	}
 }
 
