@@ -11,6 +11,9 @@
 //	consensusctl submit -local -n 100000 -init uniform -m 16 -stream
 //	consensusctl batch -axis n=1e3,1e4 -axis seed=1,2,3
 //	consensusctl batch -local -axis n=1e3,1e4 -reps 5
+//	consensusctl batch -local -axis n=1e3,1e4,1e5 -reps 10 -format table -fit logn
+//	consensusctl batch -local -adversary median-splitter -axis n=1e3,1e4 \
+//	    -derive 'almost_slack=3*sqrt(n)' -format csv -fit logn
 //	consensusctl batch -axis n=1e3,1e4 -zip crashes=10,100 -reps 5
 //	consensusctl batch -spec batch.json
 //	consensusctl engines
@@ -27,10 +30,13 @@
 // on an in-process service (client.Local) with no daemon at all.
 // $CONSENSUS_TOKEN, when set, is sent as a bearer token
 // (required by servers started with -auth-token). "submit -spec -" reads
-// one or more JSON specs from stdin (a single spec object, a service
-// RunRecord, or NDJSON of either), so sweep -json output pipes straight
-// back into the service. "batch" streams one BatchCellRecord per expanded
-// cell as NDJSON.
+// one or more JSON specs from stdin (a single spec object, a batch cell
+// record, or NDJSON of either), so batch output pipes straight back into
+// the service. "batch" streams one BatchCellRecord per expanded cell as
+// NDJSON, or with -format table|csv prints the rounds per grid point
+// (mean, stderr, median, extremes, reps), keyed by the axis params, and
+// with -fit the growth-law fit of the mean rounds against the first axis —
+// the n-sweeps behind the paper's Figure 1.
 //
 // The per-kind flag surface is validated against engine descriptors: a
 // flag that maps to a parameter the selected kind does not declare, or a
@@ -56,6 +62,7 @@ import (
 	"repro/adversary"
 	"repro/engine"
 	"repro/internal/buildinfo"
+	"repro/internal/experiment"
 	"repro/multidim"
 	"repro/obs"
 	"repro/rules"
@@ -107,7 +114,8 @@ func usage() {
 
 commands:
   submit    submit a run spec (flags or -spec file)
-  batch     submit a batch grid and stream per-cell records
+  batch     submit a batch grid; stream per-cell records, or print the
+            rounds per grid point (-format table|csv, -fit logn)
   engines   list the server's registered engines and their parameters
   get       print a run's state
   watch     with a run id: stream its per-round records, then print the
@@ -140,11 +148,11 @@ func localFlag(fs *flag.FlagSet) *bool {
 }
 
 // connect returns the client a command runs on — the daemon at server, or
-// with local an in-process service (client.Local) — and the function that
-// releases it.
-func connect(server string, local bool) (*client.Client, func(), error) {
+// with local an in-process service (client.Local) built from opts — and
+// the function that releases it.
+func connect(server string, local bool, opts service.Options) (*client.Client, func(), error) {
 	if local {
-		return client.Local(service.Options{})
+		return client.Local(opts)
 	}
 	return newClient(server), func() {}, nil
 }
@@ -506,7 +514,7 @@ func runSubmit(args []string) error {
 	stream := fs.Bool("stream", false, "stream round records while waiting (implies -wait)")
 	fs.Parse(args)
 
-	c, stop, err := connect(*server, *local)
+	c, stop, err := connect(*server, *local, service.Options{})
 	if err != nil {
 		return err
 	}
@@ -593,19 +601,81 @@ func checkAxes(tmpl service.Spec, groups ...[]service.Axis) error {
 	return nil
 }
 
+// deriveFlags accumulates repeated -derive param=factor*func(from) flags
+// (the "factor*" prefix is optional) into the request's derive rules.
+type deriveFlags []service.DeriveRule
+
+func (d *deriveFlags) String() string {
+	parts := make([]string, len(*d))
+	for i, r := range *d {
+		parts[i] = r.Param
+	}
+	return strings.Join(parts, ",")
+}
+
+func (d *deriveFlags) Set(s string) error {
+	param, expr, ok := strings.Cut(strings.ReplaceAll(s, " ", ""), "=")
+	call, closed := strings.CutSuffix(expr, ")")
+	rule := service.DeriveRule{Param: param}
+	if factor, rest, found := strings.Cut(call, "*"); found {
+		f, err := strconv.ParseFloat(factor, 64)
+		ok = ok && err == nil
+		rule.Factor, call = f, rest
+	}
+	var open bool
+	rule.Func, rule.From, open = strings.Cut(call, "(")
+	if !ok || !closed || !open || param == "" || rule.Func == "" || rule.From == "" {
+		return fmt.Errorf("derive must look like param=factor*func(from), got %q", s)
+	}
+	*d = append(*d, rule)
+	return nil
+}
+
+// fitLaws maps the -fit names other than "none" to growth laws.
+var fitLaws = map[string]experiment.GrowthLaw{
+	"logn":    experiment.LawLogN,
+	"loglogn": experiment.LawLogLogN,
+	"linear":  experiment.LawLinear,
+}
+
+// checkOutput validates -format and -fit before anything runs.
+func checkOutput(format, fit string) error {
+	switch format {
+	case "ndjson", "table", "csv":
+	default:
+		return fmt.Errorf("unknown -format %q (known: ndjson, table, csv)", format)
+	}
+	if _, ok := fitLaws[fit]; !ok && fit != "none" {
+		return fmt.Errorf("unknown -fit %q (known: none, logn, loglogn, linear)", fit)
+	}
+	if fit != "none" && format == "ndjson" {
+		return fmt.Errorf("-fit %s needs -format table or csv", fit)
+	}
+	return nil
+}
+
 func runBatch(args []string) error {
 	fs := flag.NewFlagSet("batch", flag.ExitOnError)
 	server := serverFlag(fs)
 	local := localFlag(fs)
 	specPath := fs.String("spec", "", "read a BatchRequest from a JSON file ('-' = stdin) instead of flags")
 	reps := fs.Int("reps", 1, "repetitions per grid cell")
+	format := fs.String("format", "ndjson", "output: ndjson (one record per cell), or table or csv (rounds per grid point)")
+	fit := fs.String("fit", "none", "growth-law fit of the mean rounds against the first axis: none, logn, loglogn, linear (table and csv only)")
 	var axes, zips axisFlags
+	var derive deriveFlags
 	fs.Var(&axes, "axis", "sweep axis param=v1,v2,... (repeatable; cartesian product)")
 	fs.Var(&zips, "zip", "zipped axis param=v1,v2,... (repeatable; all advance together, equal lengths)")
+	fs.Var(&derive, "derive", "per-cell param=factor*func(from) computed from an axis value; func: linear, sqrt, sqrtlog, log2 (repeatable; e.g. almost_slack=3*sqrt(n))")
 	sf := addSpecFlags(fs)
 	fs.Parse(args)
+	if err := checkOutput(*format, *fit); err != nil {
+		return err
+	}
 
-	c, stop, err := connect(*server, *local)
+	// Batch cells report results, not round streams: a local service
+	// keeps one round record per run.
+	c, stop, err := connect(*server, *local, service.Options{MaxRecords: 1})
 	if err != nil {
 		return err
 	}
@@ -626,12 +696,54 @@ func runBatch(args []string) error {
 		if err := checkAxes(tmpl, axes, zips); err != nil {
 			return err
 		}
-		req = service.BatchRequest{Template: tmpl, Axes: axes, Zip: zips, Reps: *reps}
+		req = service.BatchRequest{Template: tmpl, Axes: axes, Zip: zips, Derive: derive, Reps: *reps}
 	}
-	enc := json.NewEncoder(os.Stdout)
-	return c.Batch(context.Background(), req, func(rec service.BatchCellRecord) error {
-		return enc.Encode(rec)
-	})
+	if *fit != "none" && len(req.Axes)+len(req.Zip) == 0 {
+		return fmt.Errorf("-fit needs a grid axis to fit against")
+	}
+	ctx := context.Background()
+	if *format == "ndjson" {
+		enc := json.NewEncoder(os.Stdout)
+		return c.Batch(ctx, req, func(rec service.BatchCellRecord) error {
+			return enc.Encode(rec)
+		})
+	}
+	var records []service.BatchCellRecord
+	if err := c.Batch(ctx, req, func(rec service.BatchCellRecord) error {
+		records = append(records, rec)
+		return nil
+	}); err != nil {
+		return err
+	}
+	return printCells(os.Stdout, req, records, *format, *fit)
+}
+
+// printCells prints a finished batch as a table (or CSV) of the rounds
+// per grid point, keyed by the axis params, followed by the growth-law
+// fit of the mean rounds against the first axis unless fit is "none".
+func printCells(w io.Writer, req service.BatchRequest, records []service.BatchCellRecord, format, fit string) error {
+	cells, err := experiment.Cells(records)
+	if err != nil {
+		return err
+	}
+	var keys []string
+	for _, ax := range req.Axes {
+		keys = append(keys, ax.Param)
+	}
+	for _, ax := range req.Zip {
+		keys = append(keys, ax.Param)
+	}
+	tab := experiment.CellsTable("rounds per grid point", keys, cells)
+	if format == "csv" {
+		tab.CSV(w)
+	} else {
+		tab.Render(w)
+	}
+	if law, ok := fitLaws[fit]; ok && len(cells) >= 2 {
+		_, desc := experiment.DescribeFit(cells, law)
+		fmt.Fprintln(w, "fit:", desc)
+	}
+	return nil
 }
 
 // runEngines prints the server's engine discovery document — the
@@ -669,9 +781,9 @@ func readJSONFile(path string, v any) error {
 	return nil
 }
 
-// readSpecs parses a file of specs: a single Spec object or RunRecord
-// (pretty-printed JSON included), or a stream of them (NDJSON or simply
-// concatenated objects).
+// readSpecs parses a file of specs: a single Spec object or batch cell
+// record (pretty-printed JSON included), or a stream of them (NDJSON or
+// simply concatenated objects).
 func readSpecs(path string) ([]service.Spec, error) {
 	var r io.Reader
 	if path == "-" {
@@ -705,12 +817,14 @@ func readSpecs(path string) ([]service.Spec, error) {
 	return specs, nil
 }
 
-// decodeSpec accepts either a bare Spec or a RunRecord wrapper. Both are
-// decoded strictly (the spec codec rejects unknown fields for the spec's
-// kind), so a misspelled field must fail here, not be silently dropped,
-// re-marshalled clean and accepted by the server.
+// decodeSpec accepts either a bare Spec or a record that wraps one in its
+// "spec" field — a line of batch output, whose fields a {spec, spec_hash,
+// result} run record also decodes into. Both are decoded strictly (the
+// spec codec rejects unknown fields for the spec's kind), so a misspelled
+// field must fail here, not be silently dropped, re-marshalled clean and
+// accepted by the server.
 func decodeSpec(raw []byte) (service.Spec, error) {
-	var rec service.RunRecord
+	var rec service.BatchCellRecord
 	if err := strictUnmarshal(raw, &rec); err == nil && rec.SpecHash != "" && rec.Spec.Payload != nil {
 		return rec.Spec, nil
 	}

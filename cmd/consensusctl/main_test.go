@@ -54,7 +54,7 @@ func TestReadSpecsNDJSONRunRecords(t *testing.T) {
 		t.Fatalf("got %d specs, want 2", len(specs))
 	}
 	if p := specs[0].Payload.(*service.MedianSpec); p.Init.N != 10 || p.Rule.Name != "median" {
-		t.Fatalf("RunRecord wrapper not unwrapped: %+v", p)
+		t.Fatalf("run record wrapper not unwrapped: %+v", p)
 	}
 	if p := specs[1].Payload.(*service.MedianSpec); p.Init.N != 20 || p.Rule.Name != "voter" {
 		t.Fatalf("bare spec line mis-parsed: %+v", p)
@@ -81,8 +81,8 @@ func TestReadSpecsRejectsUnknownFields(t *testing.T) {
 
 func TestReadSpecsKindedRecords(t *testing.T) {
 	// multidim, robust and gossip specs have no median payload; the
-	// RunRecord wrapper must still be recognized, and bare kinded specs
-	// parse through the registry codec.
+	// {spec, spec_hash, result} run record wrapper must still be
+	// recognized, and bare kinded specs parse through the registry codec.
 	specs, err := readSpecs(writeTemp(t,
 		`{"spec":{"kind":"multidim","seed":1,"init":{"kind":"distinct","n":10,"d":2}},"spec_hash":"abc","result":{"rounds":3,"reason":"consensus","winner":0,"winner_count":10,"stable_since":0,"seed":1}}
 {"kind":"robust","init":{"kind":"twovalue","n":20},"loss_prob":0.1,"crashes":2}
@@ -95,7 +95,7 @@ func TestReadSpecsKindedRecords(t *testing.T) {
 		t.Fatalf("got %d specs, want 3", len(specs))
 	}
 	if p := specs[0].Payload.(*service.MultidimSpec); specs[0].Kind != "multidim" || p.Init.N != 10 {
-		t.Fatalf("kinded RunRecord wrapper not unwrapped: %+v", specs[0])
+		t.Fatalf("kinded run record wrapper not unwrapped: %+v", specs[0])
 	}
 	if p := specs[1].Payload.(*service.RobustSpec); specs[1].Kind != "robust" || p.Crashes != 2 {
 		t.Fatalf("bare robust spec mis-parsed: %+v", specs[1])
@@ -120,6 +120,53 @@ func TestAxisFlags(t *testing.T) {
 	for _, bad := range []string{"", "n", "n=", "=1,2", "n=x"} {
 		var a axisFlags
 		if err := a.Set(bad); err == nil {
+			t.Errorf("Set(%q) must error", bad)
+		}
+	}
+}
+
+func TestAxisFlagsNGrid(t *testing.T) {
+	// An n grid in scientific notation; values may carry spaces after the
+	// commas, and an empty value is an error.
+	var ns axisFlags
+	if err := ns.Set("n=1e3, 1e4,100000"); err != nil {
+		t.Fatal(err)
+	}
+	if v := ns[0].Values; len(ns) != 1 || len(v) != 3 || v[0] != 1000 || v[1] != 10000 || v[2] != 100000 {
+		t.Fatalf("bad n axis: %+v", ns)
+	}
+	for _, bad := range []string{"n=1e3,,1e4", "n=1e3,x"} {
+		var a axisFlags
+		if err := a.Set(bad); err == nil {
+			t.Errorf("Set(%q) must error", bad)
+		}
+	}
+}
+
+func TestDeriveFlags(t *testing.T) {
+	var d deriveFlags
+	for _, s := range []string{"almost_slack=3*sqrt(n)", "window = log2(n)", "max_rounds=0.5*linear(n)"} {
+		if err := d.Set(s); err != nil {
+			t.Fatalf("Set(%q): %v", s, err)
+		}
+	}
+	want := []service.DeriveRule{
+		{Param: "almost_slack", From: "n", Func: "sqrt", Factor: 3},
+		{Param: "window", From: "n", Func: "log2"},
+		{Param: "max_rounds", From: "n", Func: "linear", Factor: 0.5},
+	}
+	if len(d) != len(want) {
+		t.Fatalf("got %d rules, want %d", len(d), len(want))
+	}
+	for i := range want {
+		if d[i] != want[i] {
+			t.Errorf("rule %d = %+v, want %+v", i, d[i], want[i])
+		}
+	}
+	for _, bad := range []string{"", "almost_slack", "almost_slack=", "=sqrt(n)", "almost_slack=3*n",
+		"almost_slack=sqrt(n", "almost_slack=x*sqrt(n)", "almost_slack=3*(n)", "almost_slack=3*sqrt()"} {
+		var r deriveFlags
+		if err := r.Set(bad); err == nil {
 			t.Errorf("Set(%q) must error", bad)
 		}
 	}
@@ -449,38 +496,167 @@ func TestSubmitLocal(t *testing.T) {
 	}
 }
 
-// TestBatchLocal: batch -local streams one finished record per cell, in
-// cell order.
-func TestBatchLocal(t *testing.T) {
-	out := captureStdout(t, func() error {
-		return runBatch([]string{"-local", "-n", "500", "-axis", "seed=1,2"})
-	})
+// batchRecords runs batch with args and decodes its NDJSON output.
+func batchRecords(t *testing.T, args ...string) ([]service.BatchCellRecord, []byte) {
+	t.Helper()
+	out := captureStdout(t, func() error { return runBatch(args) })
+	var recs []service.BatchCellRecord
 	dec := json.NewDecoder(bytes.NewReader(out))
-	cells := 0
-	for ; dec.More(); cells++ {
+	for dec.More() {
 		var rec service.BatchCellRecord
 		if err := dec.Decode(&rec); err != nil {
 			t.Fatal(err)
 		}
-		if rec.Index != cells || rec.Status != service.StatusDone || rec.Result == nil {
-			t.Fatalf("cell %d: %+v", cells, rec)
-		}
+		recs = append(recs, rec)
 	}
-	if cells != 2 {
-		t.Fatalf("%d cells, want 2:\n%s", cells, out)
+	return recs, out
+}
+
+// TestBatchLocal: batch -local streams one finished record per cell, in
+// cell order. Cells report results, not round streams, so the in-process
+// service keeps one round record per run instead of all R+1.
+func TestBatchLocal(t *testing.T) {
+	recs, out := batchRecords(t, "-local", "-n", "500", "-axis", "seed=1,2")
+	if len(recs) != 2 {
+		t.Fatalf("%d cells, want 2:\n%s", len(recs), out)
+	}
+	for i, rec := range recs {
+		if rec.Index != i || rec.Status != service.StatusDone || rec.Result == nil || rec.Result.Timing == nil {
+			t.Fatalf("cell %d: %+v", i, rec)
+		}
+		if tm := rec.Result.Timing; tm.RecordsEmitted != 1 || tm.RecordsTruncated != rec.Result.Rounds {
+			t.Fatalf("cell %d: %d round records kept, %d truncated over %d rounds; want 1 kept",
+				i, tm.RecordsEmitted, tm.RecordsTruncated, rec.Result.Rounds)
+		}
 	}
 }
 
 func TestBuildFlagSpecOmitsIrrelevantFields(t *testing.T) {
-	// Mirrors the hash-stability requirement: kinds that ignore m/seed
-	// must not embed them (see runSubmit). Tested via the sweep-side
-	// equivalent initSpec builder in cmd/sweep; here we just pin the
-	// decodeSpec fallback ordering.
-	spec, err := decodeSpec([]byte(`{"init":{"kind":"twovalue","n":5},"rule":{"name":"median"}}`))
+	// Hash stability: init kinds that ignore m and seed must not embed
+	// them, or equal runs would get distinct canonical hashes.
+	spec, err := parseSpecFlags(t, "-n", "5", "-m", "7", "-seed", "3").spec(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if init := spec.Payload.(*service.MedianSpec).Init; init.Kind != "twovalue" || init.M != 0 || init.Seed != 0 {
+		t.Fatalf("twovalue init embeds m or seed: %+v", init)
+	}
+	spec, err = parseSpecFlags(t, "-n", "5", "-m", "7", "-init", "evenblocks").spec(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if init := spec.Payload.(*service.MedianSpec).Init; init.M != 7 || init.Seed != 0 {
+		t.Fatalf("evenblocks init must keep m and drop seed: %+v", init)
+	}
+	// decodeSpec falls back to a bare spec when the line is no record.
+	spec, err = decodeSpec([]byte(`{"init":{"kind":"twovalue","n":5},"rule":{"name":"median"}}`))
 	if err != nil {
 		t.Fatalf("decodeSpec: %v", err)
 	}
 	if p := spec.Payload.(*service.MedianSpec); p.Init.N != 5 {
 		t.Fatalf("decodeSpec: %+v", p)
+	}
+}
+
+// TestReadSpecsBatchOutput: batch output is submit -spec input — every
+// line unwraps to its cell's spec, seed included.
+func TestReadSpecsBatchOutput(t *testing.T) {
+	recs, out := batchRecords(t, "-local", "-n", "500", "-axis", "seed=1,2")
+	specs, err := readSpecs(writeTemp(t, string(out)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(specs) != len(recs) {
+		t.Fatalf("%d specs from %d records", len(specs), len(recs))
+	}
+	for i, spec := range specs {
+		if spec.Seed != uint64(i+1) {
+			t.Fatalf("spec %d seed %d, want %d", i, spec.Seed, i+1)
+		}
+		if h, err := spec.Hash(); err != nil || h != recs[i].SpecHash {
+			t.Fatalf("spec %d hash %s (%v), want the cell's %s", i, h, err, recs[i].SpecHash)
+		}
+	}
+}
+
+// TestBatchDerive: -derive fills the request's derive rules; the
+// adversarial slack almost_slack=3*sqrt(n) is ⌊3·√n⌋ per cell.
+func TestBatchDerive(t *testing.T) {
+	recs, _ := batchRecords(t, "-local", "-seed", "1", "-rounds", "20", "-adversary", "median-splitter",
+		"-axis", "n=1e3,1e4", "-derive", "almost_slack=3*sqrt(n)")
+	want := []int{94, 300}
+	if len(recs) != len(want) {
+		t.Fatalf("%d cells, want %d", len(recs), len(want))
+	}
+	for i, rec := range recs {
+		if slack := rec.Spec.Payload.(*service.MedianSpec).AlmostSlack; slack != want[i] {
+			t.Fatalf("cell %d (n=%v): slack %d, want %d", i, rec.Params, slack, want[i])
+		}
+	}
+}
+
+// TestBatchFormatCSV: -format csv folds each grid point's repetitions
+// into one row, in grid order, and -fit appends the growth-law fit.
+func TestBatchFormatCSV(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return runBatch([]string{"-local", "-seed", "1", "-rounds", "1000", "-reps", "3",
+			"-axis", "n=100,200", "-format", "csv", "-fit", "logn"})
+	})
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("want header, 2 rows and a fit line:\n%s", out)
+	}
+	if lines[0] != "n,mean,stderr,median,min,max,reps" {
+		t.Fatalf("header %q", lines[0])
+	}
+	for i, n := range []string{"100", "200"} {
+		row := strings.Split(lines[i+1], ",")
+		if row[0] != n || row[len(row)-1] != "3" {
+			t.Fatalf("row %d = %q, want n=%s with 3 reps", i, lines[i+1], n)
+		}
+	}
+	if !strings.HasPrefix(lines[3], "fit: a*ln(n)+b: ") {
+		t.Fatalf("fit line %q", lines[3])
+	}
+}
+
+// TestBatchRejectsBadOutputFlags: unknown -format or -fit values, and a
+// fit on NDJSON output, fail before the client contacts any server; an
+// unknown derive func fails at batch expansion, before any cell runs.
+func TestBatchRejectsBadOutputFlags(t *testing.T) {
+	var requests atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.Error(w, `{"error":"unexpected"}`, http.StatusInternalServerError)
+	}))
+	defer ts.Close()
+	for _, args := range [][]string{
+		{"-format", "yaml"},
+		{"-format", "table", "-fit", "cubic"},
+		{"-fit", "logn"},
+		{"-format", "ndjson", "-fit", "linear"},
+	} {
+		args = append([]string{"-server", ts.URL, "-axis", "n=1e3,1e4"}, args...)
+		if err := runBatch(args); err == nil {
+			t.Errorf("args %v must be rejected", args)
+		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Fatalf("rejected flags reached the server (%d requests)", n)
+	}
+
+	svc, err := service.New(service.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	live := httptest.NewServer(svc.Handler())
+	defer live.Close()
+	err = runBatch([]string{"-server", live.URL, "-axis", "n=1e3,1e4", "-derive", "almost_slack=3*cube(n)"})
+	if err == nil || !strings.Contains(err.Error(), "cube") {
+		t.Fatalf("unknown derive func: %v", err)
+	}
+	if m := svc.Metrics(); m.BatchesRun != 0 || m.JobsSubmitted != 0 {
+		t.Fatalf("rejected batch ran: %d batches, %d jobs", m.BatchesRun, m.JobsSubmitted)
 	}
 }

@@ -70,6 +70,21 @@ func TestBuildInit(t *testing.T) {
 	}
 }
 
+func TestBuildInitClampsM(t *testing.T) {
+	// m > n clamps to n: the blocks still cover all n balls, one per value.
+	vals, err := BuildInit(InitSpec{Kind: "evenblocks", N: 5, M: 99})
+	if err != nil || len(vals) != 5 {
+		t.Fatalf("clamp failed: %v %v", vals, err)
+	}
+	seen := map[Value]bool{}
+	for _, v := range vals {
+		seen[v] = true
+	}
+	if len(seen) != 5 {
+		t.Fatalf("m > n must give n distinct blocks, got %d: %v", len(seen), vals)
+	}
+}
+
 func TestBuildInitErrors(t *testing.T) {
 	bad := []InitSpec{
 		{Kind: "nope", N: 10},

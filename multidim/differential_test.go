@@ -12,6 +12,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -271,4 +272,87 @@ func TestDifferentialAdversaryMeanRounds(t *testing.T) {
 		t.Fatalf("process %.2f vs count %.2f mean first-consensus rounds", mp, mc)
 	}
 	t.Logf("mean first-consensus rounds under noise: process %.2f, count %.2f", mp, mc)
+}
+
+// skewedStart is 50 processes on (2,2) followed by 950 on (1,1): two
+// distinct initial tuples with very unequal multiplicities, listed out of
+// lexicographic order.
+func skewedStart() []Point {
+	pts := make([]Point, 1000)
+	for i := range pts {
+		if i < 50 {
+			pts[i] = Point{2, 2}
+		} else {
+			pts[i] = Point{1, 1}
+		}
+	}
+	return pts
+}
+
+// recordingAdversary records the allowed sets it is handed and corrupts
+// nothing.
+type recordingAdversary struct{ allowed [][]Point }
+
+func (a *recordingAdversary) Budget(int) int { return 0 }
+
+func (a *recordingAdversary) Corrupt(round int, state, allowed []Point, g *rng.Xoshiro256) {
+	a.allowed = append(a.allowed, allowed)
+}
+
+// TestEngineAdversaryAllowedIsDistinctInitial: the per-process engine
+// hands its adversary the distinct initial tuples in lexicographic order,
+// exactly the set the count engine hands CorruptCounts — not all n initial
+// points, which would weight an adversary's choice by multiplicity.
+func TestEngineAdversaryAllowedIsDistinctInitial(t *testing.T) {
+	adv := &recordingAdversary{}
+	NewEngine(skewedStart(), adv, 1, Options{MaxRounds: 3}).Run()
+	if len(adv.allowed) != 3 {
+		t.Fatalf("adversary called %d times, want 3", len(adv.allowed))
+	}
+	want := []Point{{1, 1}, {2, 2}}
+	for round, allowed := range adv.allowed {
+		if len(allowed) != len(want) {
+			t.Fatalf("round %d: %d allowed tuples, want %d distinct initial tuples", round, len(allowed), len(want))
+		}
+		for i := range want {
+			if !allowed[i].Equal(want[i]) {
+				t.Fatalf("round %d: allowed %v, want %v", round, allowed, want)
+			}
+		}
+	}
+}
+
+// TestDifferentialNoiseDissenters: under the noise adversary both engines
+// draw the replacement tuple uniformly from the distinct initial tuples,
+// so on a skewed start the mean number of processes off the majority
+// tuple per round must agree. (Weighting the draw by multiplicity would
+// cut the process engine's figure about tenfold here.)
+func TestDifferentialNoiseDissenters(t *testing.T) {
+	const n, seeds, maxRounds, budget = 1000, 20, 400, 20
+	majority := Point{1, 1}
+	var process, count float64
+	for seed := uint64(1); seed <= seeds; seed++ {
+		NewEngine(skewedStart(), &NoiseAdversary{T: budget}, seed, Options{MaxRounds: maxRounds, Observer: func(round int, state []Point) {
+			for _, p := range state {
+				if !p.Equal(majority) {
+					process++
+				}
+			}
+		}}).Run()
+		NewCountEngine(skewedStart(), &NoiseAdversary{T: budget}, seed, CountOptions{MaxRounds: maxRounds, Observer: func(round int, tuples []Point, counts []int64) {
+			var held int64
+			for i, p := range tuples {
+				if p.Equal(majority) {
+					held = counts[i]
+				}
+			}
+			count += float64(n - held)
+		}}).Run()
+	}
+	process /= seeds * maxRounds
+	count /= seeds * maxRounds
+	t.Logf("mean dissenters per round under noise: process %.3f, count %.3f", process, count)
+	if math.Abs(process-count) > 0.25*(process+count)/2 {
+		t.Fatalf("process %.3f vs count %.3f mean dissenters per round", process, count)
+	}
 }

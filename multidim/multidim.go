@@ -94,7 +94,8 @@ type Adversary interface {
 	// Budget is the per-round corruption allowance.
 	Budget(n int) int
 	// Corrupt may overwrite up to Budget(len(state)) entries of state
-	// with clones of points from allowed.
+	// with clones of points from allowed (the distinct initial tuples, in
+	// lexicographic order — the set CountAdversary sees too).
 	Corrupt(round int, state []Point, allowed []Point, g *rng.Xoshiro256)
 }
 
@@ -133,7 +134,7 @@ type Result struct {
 // model in every respect except the value domain.
 type Engine struct {
 	state, next []Point
-	initial     []Point // the initial point set, for validity accounting
+	initial     []Point // distinct initial tuples: validity + adversary domain
 	dim         int
 	adv         Adversary
 	g           *rng.Xoshiro256
@@ -152,15 +153,16 @@ func NewEngine(points []Point, adv Adversary, seed uint64, opts Options) *Engine
 	}
 	state := make([]Point, len(points))
 	next := make([]Point, len(points))
-	initial := make([]Point, len(points))
 	for i, p := range points {
 		if len(p) != dim {
 			panic(fmt.Sprintf("multidim: point %d has dimension %d, want %d", i, len(p), dim))
 		}
 		state[i] = p.Clone()
 		next[i] = make(Point, dim)
-		initial[i] = p.Clone()
 	}
+	// An adversary draws from the initial tuple set, not weighted by how
+	// many processes held each tuple.
+	initial, _ := distOf(points, dim)
 	return &Engine{
 		state:   state,
 		next:    next,

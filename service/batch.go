@@ -269,8 +269,8 @@ func (g grid) cell(template Spec, ci, zi int) (Spec, []float64, error) {
 // the base keeps a seed axis from colliding across grid points (raw bases
 // differing by exactly (j−i)·Reps would otherwise derive identical rep
 // seeds). Init kinds that consume their own seed (uniform, random) follow
-// the run seed (engine.SeedFollower), mirroring cmd/sweep's historical
-// behavior.
+// the run seed (engine.SeedFollower), so every repetition draws its own
+// initial state.
 func ExpandBatch(req BatchRequest, limits BatchLimits) ([]BatchCell, error) {
 	// maxCells is the absolute expansion ceiling, applied before any
 	// multiplication so attacker-sized axes/reps can neither overflow the

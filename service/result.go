@@ -22,14 +22,6 @@ type MessageStats = engine.MessageStats
 // yields R+1 records and record 0 is the initial state.
 type RoundRecord = engine.Record
 
-// RunRecord pairs a spec with its result — the machine-readable record the
-// API returns and cmd/sweep -json emits.
-type RunRecord struct {
-	Spec     Spec      `json:"spec"`
-	SpecHash string    `json:"spec_hash"`
-	Result   RunResult `json:"result"`
-}
-
 // StoredRun is the persisted form of one completed run — the record the
 // Store backend commits on finish and replays on startup (an alias of
 // store.Run, the unit of the file store's CRC-framed log). It carries the
