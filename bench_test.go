@@ -677,21 +677,26 @@ func BenchmarkCountInit(b *testing.B) {
 
 // BenchmarkCountRound measures the steady-state per-round cost of the
 // count engines under a noise adversary (so the chain never absorbs and
-// every iteration does a full round's work). Both engines move each live
-// value's balls with one multinomial over its exact transition row
-// (randx.Rows), so a round costs O(k^(s+1)) whatever n is — the scalar
-// and multidim rows run n up to the acceptance scale 10⁹ — and the
-// allocs/op column is zero: the round loops reuse engine-owned scratch
-// (TestCountEngineStepAllocs and TestCountEngineRoundAllocs pin this as a
-// regression).
+// every iteration does a full round's work). The scalar rows run the
+// median rule, which takes the scalar engine's order-statistic round:
+// about four binomials per live value, whatever n is. The multidim rows
+// move each live tuple's balls with one multinomial over its exact
+// transition row (randx.Rows), O(k^(s+1)) whatever n is. Both run n up to
+// the acceptance scale 10⁹, and the allocs/op column is zero: the round
+// loops reuse engine-owned scratch (TestCountEngineStepAllocs and
+// TestCountEngineRoundAllocs pin this as a regression).
+//
+// The orderstat row times the order-statistic round on a wide support:
+// 1024 even median blocks of n = 10⁷, which a restoring adversary puts
+// back before every round.
 //
 // The switch rows time one round from an even 16-value (scalar) or
-// 16-tuple (multidim) median distribution on either side of the engines'
+// 16-tuple (multidim) distribution on either side of the engines'
 // per-ball/rows switch at n = k³ (randx.RowsCheaper): n = 4095 samples
 // every ball, n = 4096 runs the rows, and the two should cost about the
-// same. Engine set-up runs with the timer stopped; the scalar rows build
-// a fresh engine per round, so their allocs are its first-round
-// workspace growth.
+// same. The scalar ones run majority, which has no order-statistic form.
+// Engine set-up runs with the timer stopped; the scalar rows build a fresh
+// engine per round, so their allocs are its first-round workspace growth.
 func BenchmarkCountRound(b *testing.B) {
 	for _, n := range []int{100_000, 10_000_000, 1_000_000_000} {
 		b.Run(fmt.Sprintf("scalar/n=%.0e", float64(n)), func(b *testing.B) {
@@ -704,6 +709,16 @@ func BenchmarkCountRound(b *testing.B) {
 			}
 		})
 	}
+	b.Run("orderstat/k=1024/n=1e+07", func(b *testing.B) {
+		d := evenBlocksDist(b, 10_000_000, 1024)
+		eng := core.NewCountEngineDist(d, rules.Median{}, restorer{d}, 1, core.Options{})
+		eng.Step()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.Step()
+		}
+	})
 	for _, n := range []int{100_000, 1_000_000_000} {
 		b.Run(fmt.Sprintf("multidim/n=%.0e", float64(n)), func(b *testing.B) {
 			tuples := []multidim.Point{{1, 1}, {1, 2}, {2, 1}, {2, 2}}
@@ -730,12 +745,12 @@ func BenchmarkCountRound(b *testing.B) {
 			counts[i] = sw.n / k
 		}
 		counts[0] += sw.n - k*(sw.n/k)
-		b.Run(fmt.Sprintf("switch/scalar/k=%d/n=%d-%s", k, sw.n, sw.mode), func(b *testing.B) {
+		b.Run(fmt.Sprintf("switch/scalar-majority/k=%d/n=%d-%s", k, sw.n, sw.mode), func(b *testing.B) {
 			d := assign.Dist{Vals: vals, Counts: counts}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				eng := core.NewCountEngineDist(d, rules.Median{}, nil, uint64(i), core.Options{})
+				eng := core.NewCountEngineDist(d, rules.Majority{}, nil, uint64(i), core.Options{})
 				b.StartTimer()
 				eng.Step()
 			}
@@ -751,4 +766,45 @@ func BenchmarkCountRound(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCountRun times full median runs to consensus on the scalar
+// count engine from n = 10⁷ balls in m even blocks: the order-statistic
+// round makes each round O(m), where per-ball sampling (m = 1024) cost
+// O(n) and the transition rows (m = 64) O(m³).
+func BenchmarkCountRun(b *testing.B) {
+	const n = 10_000_000
+	for _, m := range []int{1024, 64} {
+		b.Run(fmt.Sprintf("median/n=%.0e/m=%d", float64(n), m), func(b *testing.B) {
+			d := evenBlocksDist(b, n, m)
+			var rounds int64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rounds += int64(core.NewCountEngineDist(d, rules.Median{}, nil, uint64(i+1), core.Options{}).Run().Rounds)
+			}
+			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+		})
+	}
+}
+
+// evenBlocksDist is the count-native evenblocks init: n balls over values
+// 1..m as evenly as possible.
+func evenBlocksDist(b *testing.B, n, m int) assign.Dist {
+	d, err := consensus.BuildInitDist(consensus.InitSpec{Kind: "evenblocks", N: n, M: m})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
+}
+
+// restorer is a count adversary that puts distribution d back before
+// every round, copying it into the engine's own vectors (whose capacity
+// stays at least d's length), so a benchmark times rounds from one state.
+type restorer struct{ d assign.Dist }
+
+func (restorer) Name() string   { return "restorer" }
+func (restorer) Budget(int) int { return 0 }
+
+func (r restorer) CorruptCounts(_ int, vals []core.Value, counts []int64, _ []core.Value, _ consensus.Rand) ([]core.Value, []int64) {
+	return append(vals[:0], r.d.Vals...), append(counts[:0], r.d.Counts...)
 }

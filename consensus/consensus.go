@@ -28,10 +28,13 @@
 //   - EngineBall: exact per-process simulation (supports every adversary
 //     hook, observers, parallel execution).
 //   - EngineCount: distribution-level simulation, O(k) memory for k live
-//     values. Each round moves every value's processes with one exact
-//     multinomial over its transition row, O(k^(s+1)) for s samples per
-//     process whatever n is; large supports sample per process. On two
-//     values a round is two binomials, so n may reach 2^62.
+//     values, exact rounds whatever n is. Median, median-2k, minimum,
+//     maximum and voter rounds cost O(k): their output is an order
+//     statistic of the samples, so each value's movers land in one pass.
+//     Other rules move every value's processes with one multinomial over
+//     its transition row, O(k^(s+1)) for s samples per process, and large
+//     supports sample per process. On two values a median round is two
+//     binomials, so n may reach 2^62.
 //   - EngineGossip: full message-passing simulation of the paper's network
 //     model (private peer numberings, per-round request caps, adversarially
 //     selected drops).
@@ -292,9 +295,11 @@ func fromCore(r core.Result) Result {
 func AllDistinct(n int) []Value { return assign.AllDistinct(n) }
 
 // UniformRandom places each of n processes uniformly into one of m values
-// 1..m — the paper's average-case model (Section 5). Deterministic in seed.
+// 1..m — the paper's average-case model (Section 5). Deterministic in seed,
+// and drawn from the same stream as the "uniform" init kind
+// (rng.NewInitStream), so a run may reuse seed as its own.
 func UniformRandom(n, m int, seed uint64) []Value {
-	return assign.Uniform(n, m, rng.NewXoshiro256(seed))
+	return assign.Uniform(n, m, rng.NewInitStream(seed))
 }
 
 // TwoValue returns n processes of which nLow hold low and the rest hold

@@ -8,6 +8,7 @@ import (
 	"repro/consensus"
 	"repro/engine"
 	"repro/internal/exact"
+	"repro/internal/model"
 	"repro/internal/randx"
 	"repro/rules"
 )
@@ -34,10 +35,20 @@ const (
 // re-rolls of the seed list, and never by re-running the same seeds.
 const sigmas = 5
 
+// chainRun is one simulated column of the exact-chain tests: an engine of
+// the median kind and a rule that equals the median rule on two values.
+// Median takes the count engine's order-statistic round, majority its
+// transition rows (see TestDifferentialCountFixturePaths).
+type chainRun struct{ engine, rule string }
+
+var chainRuns = []chainRun{{"twobin", "median"}, {"count", "median"}, {"count", "majority"}}
+
+func (c chainRun) String() string { return c.engine + "/" + c.rule }
+
 // simTrials runs `trials` fixed-seed runs of one count-level median-kind
 // engine over the twovalue init and returns each run's rounds-to-consensus
 // plus the number of runs the low value won.
-func simTrials(t *testing.T, engineName string, n, nLow, trials int) (rounds []int, lowWins int) {
+func simTrials(t *testing.T, run chainRun, n, nLow, trials int) (rounds []int, lowWins int) {
 	t.Helper()
 	rounds = make([]int, 0, trials)
 	for seed := 1; seed <= trials; seed++ {
@@ -46,13 +57,13 @@ func simTrials(t *testing.T, engineName string, n, nLow, trials int) (rounds []i
 			Seed: uint64(seed),
 			Payload: &consensus.Spec{
 				Init:   consensus.InitSpec{Kind: "twovalue", N: n, NLow: nLow},
-				Rule:   rules.Ref{Name: "median"},
-				Engine: engineName,
+				Rule:   rules.Ref{Name: run.rule},
+				Engine: run.engine,
 			},
 		}
 		res, err := engine.Execute(spec, nil, nil)
 		if err != nil {
-			t.Fatalf("%s seed %d: %v", engineName, seed, err)
+			t.Fatalf("%s seed %d: %v", run, seed, err)
 		}
 		rounds = append(rounds, res.Rounds)
 		if res.Winner == exact.ValueLeft {
@@ -82,15 +93,15 @@ func meanStd(xs []int) (mean, sd float64) {
 // loop (count) shifts the mean and trips the band.
 func TestDifferentialAbsorptionTime(t *testing.T) {
 	want := exact.NewChain(timeN).AbsorptionTimes()[timeStart]
-	for _, engineName := range []string{"twobin", "count"} {
-		rounds, _ := simTrials(t, engineName, timeN, timeStart, timeTrials)
+	for _, run := range chainRuns {
+		rounds, _ := simTrials(t, run, timeN, timeStart, timeTrials)
 		mean, sd := meanStd(rounds)
 		band := sigmas*sd/math.Sqrt(float64(len(rounds))) + 0.05
 		t.Logf("%s: mean %0.4f ± %0.4f vs exact %0.4f over %d trials",
-			engineName, mean, band, want, len(rounds))
+			run, mean, band, want, len(rounds))
 		if math.Abs(mean-want) > band {
 			t.Errorf("%s mean absorption time %0.4f outside exact %0.4f ± %0.4f",
-				engineName, mean, want, band)
+				run, mean, want, band)
 		}
 	}
 }
@@ -101,15 +112,15 @@ func TestDifferentialAbsorptionTime(t *testing.T) {
 // asymmetry in tie-breaking or sampling moves it.
 func TestDifferentialWinProbability(t *testing.T) {
 	want := exact.NewChain(winN).WinProbabilities()[winStart]
-	for _, engineName := range []string{"twobin", "count"} {
-		_, wins := simTrials(t, engineName, winN, winStart, winTrials)
+	for _, run := range chainRuns {
+		_, wins := simTrials(t, run, winN, winStart, winTrials)
 		got := float64(wins) / winTrials
 		band := sigmas*math.Sqrt(want*(1-want)/winTrials) + 0.01
 		t.Logf("%s: win rate %0.4f ± %0.4f vs exact %0.4f over %d trials",
-			engineName, got, band, want, winTrials)
+			run, got, band, want, winTrials)
 		if math.Abs(got-want) > band {
 			t.Errorf("%s win rate %0.4f outside exact %0.4f ± %0.4f",
-				engineName, got, want, band)
+				run, got, want, band)
 		}
 	}
 }
@@ -123,8 +134,8 @@ func TestDifferentialAbsorptionCDF(t *testing.T) {
 	c := exact.NewChain(timeN)
 	maxRounds := 200
 	cdf := c.AbsorptionCDF(timeStart, maxRounds)
-	for _, engineName := range []string{"twobin", "count"} {
-		rounds, _ := simTrials(t, engineName, timeN, timeStart, timeTrials)
+	for _, run := range chainRuns {
+		rounds, _ := simTrials(t, run, timeN, timeStart, timeTrials)
 		sort.Ints(rounds)
 		for _, probe := range []int{4, 7, 10, 15, 25} {
 			want := cdf[probe]
@@ -133,20 +144,92 @@ func TestDifferentialAbsorptionCDF(t *testing.T) {
 			band := sigmas*math.Sqrt(want*(1-want)/float64(len(rounds))) + 0.01
 			if math.Abs(got-want) > band {
 				t.Errorf("%s CDF at round %d: empirical %0.4f outside exact %0.4f ± %0.4f",
-					engineName, probe, got, want, band)
+					run, probe, got, want, band)
 			}
 		}
 	}
 }
 
-// TestDifferentialCountFixturesRunRows: the count engine's runs above
-// must exercise its transition-row round (randx.Rows), not per-ball
-// sampling. A twovalue median run has at most k = 2 live values and
+// TestDifferentialCountFixturePaths: the count engine's runs above must
+// exercise both of the rounds that can reach a twovalue start — the
+// order-statistic round for median, and the transition-row round
+// (randx.Rows) for majority, which has no order-statistic form — and not
+// per-ball sampling. A twovalue run has at most k = 2 live values and
 // s = 2 samples per ball.
-func TestDifferentialCountFixturesRunRows(t *testing.T) {
-	for _, n := range []int64{timeN, winN} {
-		if !randx.RowsCheaper(n, 2, 2) {
-			t.Errorf("count fixture n = %d samples every ball instead of running the rows", n)
+func TestDifferentialCountFixturePaths(t *testing.T) {
+	for _, run := range chainRuns {
+		rule, err := rules.New(run.rule, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, orderStat := rule.(model.OrderStatRule)
+		if orderStat != (run.rule == "median") {
+			t.Errorf("%s: order-statistic round %v, want it for median only", run, orderStat)
+		}
+		for _, n := range []int64{timeN, winN} {
+			if !orderStat && !randx.RowsCheaper(n, 2, rule.Samples()) {
+				t.Errorf("%s fixture n = %d samples every ball instead of running the rows", run, n)
+			}
+		}
+	}
+}
+
+// The seed-stream fixtures: uniform starts of the paper's Section 5
+// average case, each run seeded through engine.Spec.SetSeed, which copies
+// the run seed into the init.
+var seedStreamShapes = []struct{ n, m int }{{1000, 8}, {5000, 16}}
+
+const (
+	seedStreamTrials = 40000
+	// indepInitOffset moves a run's init seed away from its run seed, to
+	// a seed no trial uses as its run seed.
+	indepInitOffset = 1 << 32
+)
+
+// uniformRounds runs a count-engine median run from a uniform start with
+// run seed seed, its init seeded by SetSeed or, when initSeed is non-zero,
+// with initSeed, and returns its rounds.
+func uniformRounds(t *testing.T, n, m int, seed, initSeed uint64) int {
+	t.Helper()
+	payload := &consensus.Spec{
+		Init:   consensus.InitSpec{Kind: "uniform", N: n, M: m},
+		Rule:   rules.Ref{Name: "median"},
+		Engine: "count",
+	}
+	spec := engine.Spec{Kind: "median", Payload: payload}
+	spec.SetSeed(seed)
+	if initSeed != 0 {
+		payload.Init.Seed = initSeed
+	}
+	res, err := engine.Execute(spec, nil, nil)
+	if err != nil {
+		t.Fatalf("uniform n=%d m=%d seed %d: %v", n, m, seed, err)
+	}
+	return res.Rounds
+}
+
+// TestDifferentialSeededUniformInit: a run whose uniform init follows its
+// run seed (SetSeed, as batch expansion does; consensusctl's -seed sets
+// both too) must converge like one whose init is seeded independently. The two sides'
+// mean rounds must agree inside a 5σ band on their difference. An init
+// that drew from the run's own random stream made the first round reuse
+// the numbers that built the start, which shortened runs by 9–11σ here.
+func TestDifferentialSeededUniformInit(t *testing.T) {
+	for _, shape := range seedStreamShapes {
+		follow := make([]int, 0, seedStreamTrials)
+		indep := make([]int, 0, seedStreamTrials)
+		for seed := uint64(1); seed <= seedStreamTrials; seed++ {
+			follow = append(follow, uniformRounds(t, shape.n, shape.m, seed, 0))
+			indep = append(indep, uniformRounds(t, shape.n, shape.m, seed, seed+indepInitOffset))
+		}
+		mf, sf := meanStd(follow)
+		mi, si := meanStd(indep)
+		band := sigmas * math.Sqrt((sf*sf+si*si)/seedStreamTrials)
+		t.Logf("n=%d m=%d: seeded init %0.4f vs independent init %0.4f mean rounds (band ±%0.4f)",
+			shape.n, shape.m, mf, mi, band)
+		if math.Abs(mf-mi) > band {
+			t.Errorf("n=%d m=%d: seeded-init runs take %0.4f mean rounds, independently seeded ones %0.4f: difference outside ±%0.4f",
+				shape.n, shape.m, mf, mi, band)
 		}
 	}
 }

@@ -18,11 +18,16 @@
 //     per-shard RNG streams.
 //   - CountEngine — exploits exchangeability: a ball's update depends only
 //     on its own value and the value *distribution*, so the state is the
-//     count vector, O(k) memory for k live values. A round moves each
-//     value's balls with one exact multinomial over its transition row
-//     (randx.Rows): k^(s+1) rule calls, independent of n. For large
-//     support it samples every ball from an alias table instead, O(n·s).
-//     Both are distributed exactly like BallEngine (see the exactness and
+//     count vector, O(k) memory for k live values. A round takes the
+//     first of three exact rounds that fits. Rules whose output is an
+//     order statistic of the samples (model.OrderStatRule: median,
+//     median-2K, minimum, maximum, voter) take the order-statistic round
+//     of orderstat.go: about four binomials per live value, O(k) for any
+//     n and s. Other rules move each value's balls with one multinomial
+//     over its transition row (randx.Rows): k^(s+1) rule calls,
+//     independent of n. When that costs more than n balls, the engine
+//     samples every ball from an alias table instead, O(n·s). All three
+//     are distributed exactly like BallEngine (see the exactness and
 //     equivalence tests). On the Section 3 two-bin case a median round is
 //     two binomials, L_{t+1} ~ Bin(L, 1−(1−p)²) + Bin(n−L, p²), p = L/n,
 //     so the lower-bound experiments run at n up to 2^62.
@@ -419,10 +424,10 @@ func (e *BallEngine) distInto(counts map[Value]int64) ([]Value, []int64) {
 }
 
 // CountEngine simulates the process at the level of the value distribution.
-// Its round workspaces (transition rows, weights, alias table, accumulator
-// map, sample buffer) are engine-owned and reused across rounds, so a
-// steady-state round performs zero heap allocations (see
-// TestCountEngineRoundAllocs).
+// Its round workspaces (the order-statistic round's per-bin scratch;
+// transition rows, weights, alias table, accumulator map, sample buffer)
+// are engine-owned and reused across rounds, so a steady-state round
+// performs zero heap allocations (see TestCountEngineRoundAllocs).
 type CountEngine struct {
 	vals    []Value
 	counts  []int64
@@ -445,6 +450,9 @@ type CountEngine struct {
 	// is extraVals[i].
 	extra     map[Value]int32
 	extraVals []Value
+	// os runs the O(k) round of orderstat.go when the rule has an
+	// order-statistic form (model.OrderStatRule); nil otherwise.
+	os *orderStatRound
 }
 
 // NewCountEngine builds a count-level engine from the initial configuration.
@@ -477,7 +485,7 @@ func NewCountEngineDist(d assign.Dist, rule model.Rule, adv model.Adversary, see
 		}
 		n += c
 	}
-	return &CountEngine{
+	e := &CountEngine{
 		vals:    append([]Value(nil), d.Vals...),
 		counts:  append([]int64(nil), d.Counts...),
 		n:       n,
@@ -486,10 +494,15 @@ func NewCountEngineDist(d assign.Dist, rule model.Rule, adv model.Adversary, see
 		opts:    opts,
 		g:       rng.NewXoshiro256(seed),
 		allowed: append([]Value(nil), d.Vals...),
-		acc:     make(map[Value]int64, len(d.Vals)),
-		extra:   make(map[Value]int32),
-		sampled: make([]Value, rule.Samples()),
 	}
+	if r, ok := rule.(model.OrderStatRule); ok {
+		e.os = newOrderStatRound(r)
+	} else {
+		e.acc = make(map[Value]int64, len(d.Vals))
+		e.extra = make(map[Value]int32)
+		e.sampled = make([]Value, rule.Samples())
+	}
+	return e
 }
 
 // Dist returns copies of the current sorted values and counts.
@@ -519,16 +532,22 @@ func (e *CountEngine) Step() {
 		}
 	}
 	// Consensus is a fixed point for every sampled rule: skip the update
-	// (and its randomness).
-	if len(e.vals) > 1 {
+	// (and its randomness). Otherwise take the cheapest exact round: the
+	// order-statistic round when the rule has that form, else transition
+	// rows or per-ball sampling, whichever costs less here.
+	switch s := e.rule.Samples(); {
+	case len(e.vals) <= 1:
+	case e.os != nil:
+		e.vals, e.counts = e.os.step(e.g, e.vals, e.counts, e.n)
+	case randx.RowsCheaper(e.n, len(e.vals), s):
 		clear(e.acc)
-		if s := e.rule.Samples(); randx.RowsCheaper(e.n, len(e.vals), s) {
-			clear(e.extra)
-			e.extraVals = e.extraVals[:0]
-			e.rows.Round(e.g, e.counts, s, (*countRows)(e))
-		} else {
-			e.stepSampled()
-		}
+		clear(e.extra)
+		e.extraVals = e.extraVals[:0]
+		e.rows.Round(e.g, e.counts, s, (*countRows)(e))
+		e.commit()
+	default:
+		clear(e.acc)
+		e.stepSampled()
 		e.commit()
 	}
 	if e.adv != nil && e.opts.Timing == AfterChoices {

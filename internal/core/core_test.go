@@ -633,6 +633,22 @@ func TestCountEngineDistPanics(t *testing.T) {
 	NewCountEngineDist(assign.Dist{Vals: []Value{1}, Counts: []int64{1}}, nil, nil, 1, Options{})
 }
 
+// badForm claims an order-statistic form whose two cases overlap.
+type badForm struct{ rules.Median }
+
+func (badForm) OrderStat() (s, down, up int) { return 2, 1, 1 }
+
+// TestCountEngineRejectsBadOrderStatForm: a rule whose order-statistic
+// form the round cannot run is a bug in the rule, caught at construction.
+func TestCountEngineRejectsBadOrderStatForm(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for down + up ≤ s")
+		}
+	}()
+	NewCountEngineDist(assign.Dist{Vals: []Value{1, 2}, Counts: []int64{1, 1}}, badForm{}, nil, 1, Options{})
+}
+
 func TestCountEnginePanicsOnEmpty(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -643,25 +659,30 @@ func TestCountEnginePanicsOnEmpty(t *testing.T) {
 }
 
 // TestCountEngineRoundAllocs pins the count engine's zero-allocation round
-// loop in both update regimes — the transition rows (n ≥ k³) and per-ball
-// sampling (small n): once every engine-owned workspace (rows, weights,
-// alias table, accumulator map, sample buffer, sorted vectors) has been
-// warmed, a steady-state round — including a count-level adversary that
-// keeps the chain from absorbing — must not touch the heap.
+// loop in all three update regimes — the order-statistic round (the median
+// rule as it is), and, with that form hidden, the transition rows (n ≥ k³)
+// and per-ball sampling (small n): once every engine-owned workspace (the
+// order-statistic round's per-bin scratch; rows, weights, alias table,
+// accumulator map, sample buffer, sorted vectors) has been warmed, a
+// steady-state round — including a count-level adversary that keeps the
+// chain from absorbing — must not touch the heap.
 func TestCountEngineRoundAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		per  int64
+		rule model.Rule
 	}{
-		{"rows", 2000}, // n = 10⁴ ≥ k³ = 125
-		{"sampled", 1}, // n = 5 < 2³: never rows
+		{"rows", 2000, hideOrderStat(rules.Median{})}, // n = 10⁴ ≥ k³ = 125
+		{"sampled", 1, hideOrderStat(rules.Median{})}, // n = 5 < 2³: never rows
+		{"orderstat", 2000, rules.Median{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := assign.Dist{
 				Vals:   []Value{1, 2, 3, 4, 5},
 				Counts: []int64{tc.per, tc.per, tc.per, tc.per, tc.per},
 			}
-			eng := NewCountEngineDist(d, rules.Median{}, adversary.NewRandomNoise(adversary.Fixed(4)), 1, Options{})
+			kernelTaken(t, tc.name, d, tc.rule)
+			eng := NewCountEngineDist(d, tc.rule, adversary.NewRandomNoise(adversary.Fixed(4)), 1, Options{})
 			for i := 0; i < 8; i++ {
 				eng.Step()
 			}

@@ -198,7 +198,8 @@ func AxisApply(s *Spec, param string, v float64) (bool, error) {
 
 // FollowSeed keeps seed-consuming init kinds (uniform) in step with the
 // run seed — the shared engine.SeedFollower body of the scalar kinds, so
-// batch repetitions draw distinct initial states.
+// batch repetitions draw distinct initial states. The init draws from
+// rng.NewInitStream of that seed, not from the run's own stream.
 func FollowSeed(s *Spec, seed uint64) {
 	if s.Kind == "uniform" {
 		s.Seed = seed
@@ -282,7 +283,7 @@ func uniformDist(s Spec) (assign.Dist, error) {
 		return assign.Dist{}, err
 	}
 	m := clampM(s)
-	g := rng.NewXoshiro256(s.Seed)
+	g := rng.NewInitStream(s.Seed)
 	probs := make([]float64, m)
 	for i := range probs {
 		probs[i] = 1
@@ -367,7 +368,7 @@ func init() {
 			if err := needN(s); err != nil {
 				return nil, err
 			}
-			return assign.Uniform(s.N, clampM(s), rng.NewXoshiro256(s.Seed)), nil
+			return assign.Uniform(s.N, clampM(s), rng.NewInitStream(s.Seed)), nil
 		},
 		GenerateDist: uniformDist,
 	})

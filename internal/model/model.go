@@ -1,7 +1,8 @@
 // Package model declares the small set of interfaces shared by every engine,
 // rule and adversary in the repository: the process-value type, the update
 // rule contract, the T-bounded adversary contract, and the randomness
-// interface engines hand to adversaries.
+// interface engines hand to adversaries, plus the optional order-statistic
+// form of a rule that the count engine's fast round runs on.
 //
 // It is a leaf package so that the public facade packages (consensus, rules,
 // adversary) and the internal engines (internal/core, internal/gossip) can
@@ -44,6 +45,27 @@ type Rule interface {
 	// sampled peer values. Deterministic rules must not use global state;
 	// engines may call Update concurrently from several goroutines.
 	Update(own Value, sampled []Value) Value
+}
+
+// OrderStatRule is an optional extension of Rule for rules whose output is
+// an order statistic of the samples relative to the ball's own value. A
+// ball keeps its value unless one of two disjoint things holds:
+//
+//   - at least down of its s samples lie strictly below its value: it then
+//     takes the down-th smallest sample;
+//   - at least up of them lie strictly above: it then takes the up-th
+//     largest sample.
+//
+// A threshold above s never fires, and down + up > s keeps the two cases
+// disjoint. The median rule is (2, 2, 2), minimum (1, 1, never) and voter
+// (1, 1, 1). The count engine moves such a rule's balls in O(k) per round
+// for k live values, instead of enumerating sample tuples; OrderStat must
+// agree with Update on every input (the rules package tests this).
+type OrderStatRule interface {
+	Rule
+	// OrderStat returns the sample count s (equal to Samples()) and the
+	// down and up thresholds.
+	OrderStat() (s, down, up int)
 }
 
 // Adversary is the paper's T-bounded adversary (Section 1.1): at the

@@ -110,11 +110,9 @@ func binomialBTRS(g *rng.Xoshiro256, n int64, p float64) int64 {
 	c := nf*p + 0.5
 	vr := 0.92 - 4.2/b
 
-	alpha := (2.83 + 5.1/b) * spq
-	lpq := math.Log(p / q)
-	m := math.Floor(float64(n+1) * p) // mode
-	h := logFactorial(int64(m)) + logFactorial(n-int64(m))
-
+	// The full acceptance test's constants cost four logarithms; most
+	// draws pass the squeeze first, so they are computed on first use.
+	var alpha, lpq, m, h float64
 	for {
 		u := g.Float64() - 0.5
 		v := g.Float64()
@@ -126,6 +124,12 @@ func binomialBTRS(g *rng.Xoshiro256, n int64, p float64) int64 {
 		// Squeeze: accept quickly in the central region.
 		if us >= 0.07 && v <= vr {
 			return int64(k)
+		}
+		if alpha == 0 {
+			alpha = (2.83 + 5.1/b) * spq
+			lpq = math.Log(p / q)
+			m = math.Floor(float64(n+1) * p) // mode
+			h = logFactorial(int64(m)) + logFactorial(n-int64(m))
 		}
 		// Full acceptance test in log space.
 		v = math.Log(v * alpha / (a/(us*us) + b))

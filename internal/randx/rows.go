@@ -7,7 +7,9 @@ import (
 )
 
 // This file implements the exact transition-row round shared by the count
-// engines (internal/core.CountEngine and multidim.CountEngine).
+// engines (internal/core.CountEngine and multidim.CountEngine). The scalar
+// engine runs it only for rules without an order-statistic form
+// (model.OrderStatRule: majority, mean), which take its O(k) round instead.
 //
 // In the paper's process (Section 2.1) balls are exchangeable: a ball's
 // next value depends only on its own value and on the current value
@@ -42,9 +44,10 @@ type RowRule interface {
 // bump. For the median rule on a 2-vCPU x86-64 VM both came out at 20–60
 // ns in either engine, putting the crossover at 0.6–1.7·k³ over
 // k = 3…36. The switch rows of BenchmarkCountRound time one round on each
-// side of n = k³ (k = 16), where the rows measured 0.55–0.75 of the
-// per-ball cost, so a later change to either path can re-check the
-// constant.
+// side of n = k³ (k = 16): the rows measured 0.55–0.75 of the per-ball
+// cost for median and, since median takes the order-statistic round,
+// 0.61–0.76 for majority (115–124 µs against 163–189 µs), so a later
+// change to either path can re-check the constant.
 const rowRoundFactor = 1
 
 // RowsCheaper reports whether a Rows round over k live bins with s samples

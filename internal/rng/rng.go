@@ -95,6 +95,17 @@ func NewXoshiro256(seed uint64) *Xoshiro256 {
 	return g
 }
 
+// NewInitStream returns the generator an initial-state builder draws from
+// for seed: NewXoshiro256(seed) jumped 2^128 steps ahead. A run's engine
+// draws from NewXoshiro256 of its run seed, and batch expansion copies
+// that seed into a seeded init, so the jump keeps the initial state and
+// the first rounds from reusing the same random numbers.
+func NewInitStream(seed uint64) *Xoshiro256 {
+	g := NewXoshiro256(seed)
+	g.Jump()
+	return g
+}
+
 // Uint64 returns the next 64-bit value.
 func (g *Xoshiro256) Uint64() uint64 {
 	result := bits.RotateLeft64(g.s1*5, 7) * 9

@@ -22,12 +22,15 @@
 //     model; needs Θ(n) rounds on the complete graph and serves as the
 //     "one choice" contrast.
 //
+// Median, KMedian, Minimum, Maximum and Voter also give their
+// order-statistic form (OrderStat, see model.OrderStatRule), which lets
+// the count engine run them in O(k) per round for k live values.
+//
 // All rules are stateless and safe for concurrent use.
 package rules
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/model"
 )
@@ -64,6 +67,10 @@ func (Median) Update(own Value, sampled []Value) Value {
 	}
 	return b
 }
+
+// OrderStat implements model.OrderStatRule: with both samples below its
+// value a ball takes the larger, with both above the smaller.
+func (Median) OrderStat() (s, down, up int) { return 2, 2, 2 }
 
 // Majority adopts the majority value among own and two samples, keeping the
 // own value on three-way ties. On two-value states it is exactly Median; it
@@ -109,6 +116,10 @@ func (Minimum) Update(own Value, sampled []Value) Value {
 	return own
 }
 
+// OrderStat implements model.OrderStatRule: a ball takes a sample below
+// its value and never moves up (up = 2 > s).
+func (Minimum) OrderStat() (s, down, up int) { return 1, 1, 2 }
+
 // Maximum is the mirror image of Minimum.
 type Maximum struct{}
 
@@ -125,6 +136,9 @@ func (Maximum) Update(own Value, sampled []Value) Value {
 	}
 	return own
 }
+
+// OrderStat implements model.OrderStatRule: the mirror of Minimum's.
+func (Maximum) OrderStat() (s, down, up int) { return 1, 2, 1 }
 
 // Mean is the averaging rule of [17] in the gossip model: adopt the rounded
 // arithmetic mean of own and two sampled values. It violates validity — the
@@ -178,17 +192,38 @@ func (r KMedian) Name() string { return fmt.Sprintf("median-%dchoices", 2*r.K) }
 // Samples implements Rule.
 func (r KMedian) Samples() int { return 2 * r.K }
 
-// Update returns the median of own and the 2K sampled values.
+// kMedianStack is the largest value count (own plus 2K samples, K ≤ 8)
+// whose median KMedian.Update selects without touching the heap.
+const kMedianStack = 17
+
+// Update returns the median of own and the 2K sampled values. It
+// insertion-sorts a copy of them into a stack buffer, so for K ≤ 8 a call
+// allocates nothing (the ball engine calls it n times per round).
 func (r KMedian) Update(own Value, sampled []Value) Value {
 	if len(sampled) == 2 { // fast path: plain median rule
 		return Median{}.Update(own, sampled)
 	}
-	buf := make([]Value, 0, len(sampled)+1)
+	var stack [kMedianStack]Value
+	buf := stack[:0]
+	if len(sampled)+1 > len(stack) {
+		buf = make([]Value, 0, len(sampled)+1)
+	}
 	buf = append(buf, own)
-	buf = append(buf, sampled...)
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+	for _, v := range sampled {
+		i := len(buf)
+		buf = append(buf, v)
+		for ; i > 0 && buf[i-1] > v; i-- {
+			buf[i] = buf[i-1]
+		}
+		buf[i] = v
+	}
 	return buf[len(buf)/2]
 }
+
+// OrderStat implements model.OrderStatRule: the median of 2K+1 values is
+// the (K+1)-th smallest sample when K+1 samples lie below the ball's value,
+// and the (K+1)-th largest when K+1 lie above.
+func (r KMedian) OrderStat() (s, down, up int) { return 2 * r.K, r.K + 1, r.K + 1 }
 
 // Voter adopts one uniformly sampled value unconditionally — the classical
 // single-choice voter model, the paper's "deterministic single choice rule
@@ -204,3 +239,8 @@ func (Voter) Samples() int { return 1 }
 
 // Update returns sampled[0].
 func (Voter) Update(_ Value, sampled []Value) Value { return sampled[0] }
+
+// OrderStat implements model.OrderStatRule: a sample below or above the
+// ball's value is the first smallest or largest, and an equal one leaves
+// the value as it is.
+func (Voter) OrderStat() (s, down, up int) { return 1, 1, 1 }

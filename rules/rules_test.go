@@ -1,9 +1,13 @@
 package rules
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/model"
+	"repro/internal/rng"
 )
 
 func TestMedianBasic(t *testing.T) {
@@ -240,5 +244,112 @@ func TestQuickKMedianSymmetric(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// orderStatUpdate is what a rule with order-statistic form (s, down, up)
+// returns: the down-th smallest sample when at least down samples lie
+// below own, the up-th largest when at least up lie above, else own.
+func orderStatUpdate(own Value, sampled []Value, down, up int) Value {
+	sorted := slices.Sorted(slices.Values(sampled))
+	var below, above int
+	for _, v := range sampled {
+		if v < own {
+			below++
+		} else if v > own {
+			above++
+		}
+	}
+	switch {
+	case below >= down:
+		return sorted[down-1]
+	case above >= up:
+		return sorted[len(sorted)-up]
+	}
+	return own
+}
+
+// TestOrderStatFormsMatchUpdate: every rule that opts into the count
+// engine's order-statistic round gives a form (s, down, up) that agrees
+// with its Update on every own value and sample tuple over a four-value
+// support (ties included), with s = Samples() and down + up > s; majority
+// and mean have no such form and must not claim one.
+func TestOrderStatFormsMatchUpdate(t *testing.T) {
+	support := []Value{-3, 1, 2, 8}
+	for _, r := range []Rule{Median{}, Minimum{}, Maximum{}, Voter{}, NewKMedian(1), NewKMedian(2), NewKMedian(3)} {
+		os, ok := r.(model.OrderStatRule)
+		if !ok {
+			t.Errorf("%s has no order-statistic form", r.Name())
+			continue
+		}
+		s, down, up := os.OrderStat()
+		if s != r.Samples() || down < 1 || up < 1 || down+up <= s {
+			t.Errorf("%s: form (s=%d, down=%d, up=%d) with %d samples", r.Name(), s, down, up, r.Samples())
+			continue
+		}
+		sample := make([]Value, s)
+		var walk func(i int)
+		walk = func(i int) {
+			if i < s {
+				for _, v := range support {
+					sample[i] = v
+					walk(i + 1)
+				}
+				return
+			}
+			for _, own := range support {
+				if got, want := r.Update(own, sample), orderStatUpdate(own, sample, down, up); got != want {
+					t.Fatalf("%s(%d, %v) = %d, order-statistic form gives %d", r.Name(), own, sample, got, want)
+				}
+			}
+		}
+		walk(0)
+	}
+	for _, r := range []Rule{Majority{}, Mean{}} {
+		if _, ok := r.(model.OrderStatRule); ok {
+			t.Errorf("%s claims an order-statistic form", r.Name())
+		}
+	}
+}
+
+// TestKMedianUpdateNoAllocs: KMedian selects its median in a stack buffer,
+// so a call allocates nothing for K ≤ 8.
+func TestKMedianUpdateNoAllocs(t *testing.T) {
+	for k := 1; k <= 8; k++ {
+		r := NewKMedian(k)
+		sampled := make([]Value, 2*k)
+		for i := range sampled {
+			sampled[i] = Value((i * 7) % 5)
+		}
+		var sink Value
+		if avg := testing.AllocsPerRun(100, func() { sink += r.Update(2, sampled) }); avg != 0 {
+			t.Errorf("K=%d: %v allocs per Update", k, avg)
+		}
+	}
+}
+
+// TestKMedianMatchesSortedMedian: KMedian's selection returns the middle
+// of own and its samples sorted, on random inputs with many ties, for K on
+// both sides of the stack buffer's limit, and leaves the samples as they
+// were.
+func TestKMedianMatchesSortedMedian(t *testing.T) {
+	g := rng.NewXoshiro256(5)
+	for _, k := range []int{2, 3, 5, 8, 9, 20} {
+		r := NewKMedian(k)
+		for trial := 0; trial < 500; trial++ {
+			own := Value(g.Intn(6))
+			sampled := make([]Value, 2*k)
+			for i := range sampled {
+				sampled[i] = Value(g.Intn(6))
+			}
+			before := slices.Clone(sampled)
+			all := slices.Sorted(slices.Values(append([]Value{own}, sampled...)))
+			if got, want := r.Update(own, sampled), all[k]; got != want {
+				t.Fatalf("K=%d: median(%d, %v) = %d, want %d", k, own, sampled, got, want)
+			}
+			if !slices.Equal(sampled, before) {
+				t.Fatalf("K=%d: Update reordered its samples", k)
+			}
+		}
 	}
 }
