@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/engine"
@@ -176,6 +177,68 @@ func TestSpecCodec(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"kind":"warp"}`), &back); err == nil {
 		t.Fatal("unknown kind must fail to decode")
 	}
+}
+
+// clashSpec is a payload that writes an envelope field of its own.
+type clashSpec struct {
+	fakeSpec
+	Seed int `json:"seed"`
+}
+
+// arraySpec is a payload that does not encode to a JSON object.
+type arraySpec struct{ fakeSpec }
+
+func (arraySpec) MarshalJSON() ([]byte, error) { return []byte(`[1]`), nil }
+
+// TestSpecMarshalRejectsBadPayloads: the envelope and the payload share
+// one object, so a payload that is not an object, or that writes an
+// envelope key itself, cannot be encoded.
+func TestSpecMarshalRejectsBadPayloads(t *testing.T) {
+	for _, c := range []struct {
+		payload engine.Payload
+		want    string
+	}{
+		{&clashSpec{Seed: 1}, `redefines the envelope field "seed"`},
+		{&arraySpec{}, "not a JSON object"},
+	} {
+		_, err := json.Marshal(engine.Spec{Kind: "fake", Payload: c.payload})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%T payload: got %v, want an error containing %q", c.payload, err, c.want)
+		}
+	}
+}
+
+// TestSpecDecodeConcurrent decodes distinct specs from several goroutines
+// at once, with failing decodes in between: the decoders the codec reuses
+// across calls must never carry one call's bytes or state into another's.
+func TestSpecDecodeConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 200 {
+				id := g*1000 + i + 1
+				want := engine.Spec{Kind: "fake", Seed: uint64(id), Payload: &fakeSpec{N: id, Rate: float64(i)}}
+				buf, err := json.Marshal(want)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var got engine.Spec
+				if err := json.Unmarshal(buf, &got); err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("decode of %s: %+v, %v", buf, got, err)
+					return
+				}
+				bad := fmt.Sprintf(`{"kind":"fake","n":%d,"rate":tru}`, id)
+				if err := got.UnmarshalJSON([]byte(bad)); err == nil {
+					t.Errorf("decode of %s: no error", bad)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSpecNormalizeDoesNotMutateCaller(t *testing.T) {

@@ -8,6 +8,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
 
 	"repro/internal/rng"
 )
@@ -67,75 +71,129 @@ type Spec struct {
 	V int `json:"-"`
 }
 
-// envelope names the Spec fields that live beside the flattened payload.
-var envelopeFields = []string{"kind", "seed", "max_rounds", "v"}
+// envelopeFields names the Spec fields that live beside the flattened
+// payload, in sorted key order: the order MarshalJSON places them in.
+var envelopeFields = [...]string{"kind", "max_rounds", "seed", "v"}
 
-// MarshalJSON flattens the payload's fields into the envelope object. Map
-// encoding sorts keys lexicographically, so the output — and therefore the
-// canonical encoding Hash is defined over — is deterministic.
+// MarshalJSON flattens the payload's fields into the envelope object, keys
+// in sorted order, so the output — and therefore the canonical encoding
+// Hash is defined over — is deterministic. The payload is encoded once;
+// its top-level members are then sorted and merged with the envelope
+// fields that are set. The bytes are those of one JSON object holding
+// every member, which is how the canonical encoding is defined.
 func (s Spec) MarshalJSON() ([]byte, error) {
-	fields := map[string]json.RawMessage{}
-	if s.Payload != nil {
+	var payload []byte
+	if !nilPayload(s.Payload) {
 		buf, err := json.Marshal(s.Payload)
 		if err != nil {
 			return nil, err
 		}
-		if err := json.Unmarshal(buf, &fields); err != nil {
-			return nil, fmt.Errorf("engine: %s payload is not a JSON object: %w", s.kind(), err)
+		payload = buf
+	}
+	var stack [16]member
+	members := stack[:0]
+	if payload != nil {
+		var ok bool
+		if members, ok = objectMembers(members, payload); !ok {
+			return nil, fmt.Errorf("engine: %s payload is not a JSON object", s.kind())
 		}
-		for _, key := range envelopeFields {
-			if _, clash := fields[key]; clash {
-				return nil, fmt.Errorf("engine: %s payload redefines the envelope field %q", s.kind(), key)
-			}
+	}
+	for _, m := range members {
+		if field, exact := envelopeField(m.key); exact {
+			return nil, fmt.Errorf("engine: %s payload redefines the envelope field %q", s.kind(), envelopeFields[field])
 		}
 	}
-	if s.Kind != "" {
-		fields["kind"], _ = json.Marshal(s.Kind)
+	members, _ = sortMembers(members)
+	out := make([]byte, 0, len(payload)+64)
+	out = append(out, '{')
+	field := 0
+	for _, m := range members {
+		for ; field < len(envelopeFields) && envelopeFields[field] < string(m.key); field++ {
+			out = s.appendEnvelopeField(out, field)
+		}
+		out = appendMember(out, m)
 	}
-	if s.Seed != 0 {
-		fields["seed"], _ = json.Marshal(s.Seed)
+	for ; field < len(envelopeFields); field++ {
+		out = s.appendEnvelopeField(out, field)
 	}
-	if s.MaxRounds != 0 {
-		fields["max_rounds"], _ = json.Marshal(s.MaxRounds)
+	return append(out, '}'), nil
+}
+
+// appendEnvelopeField appends envelope field i as a member of the object
+// being written in out, unless it is unset.
+func (s Spec) appendEnvelopeField(out []byte, i int) []byte {
+	switch name := envelopeFields[i]; {
+	case name == "kind" && s.Kind != "":
+		return appendString(appendKey(out, name), s.Kind)
+	case name == "max_rounds" && s.MaxRounds != 0:
+		return strconv.AppendInt(appendKey(out, name), int64(s.MaxRounds), 10)
+	case name == "seed" && s.Seed != 0:
+		return strconv.AppendUint(appendKey(out, name), s.Seed, 10)
+	case name == "v" && s.V != 0:
+		return strconv.AppendInt(appendKey(out, name), int64(s.V), 10)
 	}
-	if s.V != 0 {
-		fields["v"], _ = json.Marshal(s.V)
-	}
-	return json.Marshal(fields)
+	return out
 }
 
 // UnmarshalJSON splits the envelope fields off and strictly decodes the
 // rest into the kind's payload type, resolved through the registry. An
 // unknown kind, or a field the kind's payload does not define, is an error
 // — a misspelled or foreign-family field is never silently dropped.
+//
+// One scan lifts the envelope members out of the object; the payload
+// members left over are sorted by key, a repeated key keeping only its
+// last value, and decoded in one strict pass. Envelope keys match exactly
+// once unescaped ("\u0073eed" is "seed"). A case variant such as "Seed"
+// stays with the payload, which rejects it, though like encoding/json's
+// field matching it also sets the envelope field first: {"V":2} is a
+// foreign version, not an unknown field.
 func (s *Spec) UnmarshalJSON(data []byte) error {
-	var fields map[string]json.RawMessage
-	if err := json.Unmarshal(data, &fields); err != nil {
-		return err
+	var stack [16]member
+	members := stack[:0]
+	if !isNull(data) {
+		var ok bool
+		if members, ok = objectMembers(members, data); !ok {
+			return invalidSpec(data)
+		}
 	}
-	var env struct {
-		Kind      string `json:"kind"`
-		Seed      uint64 `json:"seed"`
-		MaxRounds int    `json:"max_rounds"`
-		V         int    `json:"v"`
+	var env Spec
+	var envErr error
+	payload := members[:0]
+	for _, m := range members {
+		field, exact := envelopeField(m.key)
+		if field >= 0 {
+			if err := env.setEnvelopeField(field, m.value); err != nil && envErr == nil {
+				envErr = fmt.Errorf("engine: bad spec field %s: %w", envelopeFields[field], err)
+			}
+		}
+		if !exact {
+			payload = append(payload, m)
+		}
 	}
-	if err := json.Unmarshal(data, &env); err != nil {
-		return err
+	payload, valid := sortMembers(payload)
+	if !valid {
+		return invalidSpec(data)
 	}
+	if envErr != nil {
+		return envErr
+	}
+	rest := make([]byte, 0, len(data))
+	rest = append(rest, '{')
+	for _, m := range payload {
+		rest = appendMember(rest, m)
+	}
+	rest = append(rest, '}')
 	// An absent "v" (V == 0, the pre-version encoding) is accepted for
 	// compatibility with existing clients; any explicit version other than
 	// ours is a spec this binary must not reinterpret under its own codec.
+	// Malformed JSON is malformed whatever its version says.
 	if env.V != 0 && env.V != SpecVersion {
+		if !json.Valid(rest) {
+			return invalidSpec(data)
+		}
 		return fmt.Errorf("%w: spec has v%d, this binary speaks v%d", ErrSpecVersion, env.V, SpecVersion)
 	}
 	e, err := Lookup(env.Kind)
-	if err != nil {
-		return err
-	}
-	for _, key := range envelopeFields {
-		delete(fields, key)
-	}
-	rest, err := json.Marshal(fields)
 	if err != nil {
 		return err
 	}
@@ -143,14 +201,323 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 	if err := strictDecode(rest, p); err != nil {
 		return fmt.Errorf("engine: bad %s spec: %w", kindOrDefault(env.Kind), err)
 	}
-	*s = Spec{Kind: env.Kind, Seed: env.Seed, MaxRounds: env.MaxRounds, Payload: p, V: env.V}
+	env.Payload = p
+	*s = env
 	return nil
 }
 
+// setEnvelopeField decodes value into envelope field i the way
+// encoding/json decodes a struct field: null leaves it unchanged, and a
+// value of the wrong type is an error. The forms the encoder writes are
+// parsed directly; any other goes through encoding/json itself.
+func (s *Spec) setEnvelopeField(i int, value []byte) error {
+	switch envelopeFields[i] {
+	case "kind":
+		if plainString(value) {
+			s.Kind = string(value[1 : len(value)-1])
+			return nil
+		}
+		return json.Unmarshal(value, &s.Kind)
+	case "max_rounds":
+		return decodeInt(value, &s.MaxRounds)
+	case "seed":
+		return decodeInt(value, &s.Seed)
+	default: // "v"
+		return decodeInt(value, &s.V)
+	}
+}
+
+// invalidSpec explains why data does not decode as a spec: its JSON
+// syntax error, or that it is not an object.
+func invalidSpec(data []byte) error {
+	var raw json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	return fmt.Errorf("engine: a spec is a JSON object, not %.20s", raw)
+}
+
+// member is one top-level member of a JSON object, sliced from its
+// encoding.
+type member struct {
+	// raw is the key as written, quotes included.
+	raw []byte
+	// key is the key unescaped: what encoding/json would decode it to.
+	key []byte
+	// value is the value as written.
+	value []byte
+}
+
+// envelopeField reports which envelope field key names: exact is set for
+// the field's own name, and field alone for a case variant that
+// encoding/json's case-insensitive field matching would accept (it folds
+// Unicode as well, so "\u017feed" is a variant of "seed"). field is -1 for
+// any other key.
+func envelopeField(key []byte) (field int, exact bool) {
+	for i, name := range envelopeFields {
+		if string(key) == name {
+			return i, true
+		}
+	}
+	for i, name := range envelopeFields {
+		if len(key) >= len(name) && strings.EqualFold(string(key), name) {
+			return i, false
+		}
+	}
+	return -1, false
+}
+
+// sortMembers sorts members by key, stably, and keeps only the last of
+// each run of equal keys — the members one JSON object decoding would
+// keep, in the order its encoding would write them. valid is false if a
+// dropped value is not well-formed JSON: no other reader ever sees it.
+func sortMembers(members []member) (_ []member, valid bool) {
+	slices.SortStableFunc(members, func(a, b member) int { return bytes.Compare(a.key, b.key) })
+	valid = true
+	out := members[:0]
+	for i, m := range members {
+		if i+1 < len(members) && bytes.Equal(m.key, members[i+1].key) {
+			valid = valid && json.Valid(m.value)
+			continue
+		}
+		out = append(out, m)
+	}
+	return out, valid
+}
+
+// objectMembers appends the top-level members of the JSON object in data
+// to dst, in the order written, unescaping each key. It checks only the
+// object's own punctuation: the text of keys and values is sliced out,
+// and checking it is left to whoever decodes it. ok is false if data is
+// not an object of that shape.
+func objectMembers(dst []member, data []byte) (_ []member, ok bool) {
+	i := skipSpace(data, 0)
+	if i == len(data) || data[i] != '{' {
+		return dst, false
+	}
+	i = skipSpace(data, i+1)
+	if i < len(data) && data[i] == '}' {
+		if skipSpace(data, i+1) != len(data) {
+			return dst, false
+		}
+		return dst, true
+	}
+	for {
+		end, escaped := stringEnd(data, i)
+		if end < 0 {
+			return dst, false
+		}
+		m := member{raw: data[i:end], key: data[i+1 : end-1]}
+		if escaped {
+			var key string
+			if json.Unmarshal(m.raw, &key) != nil {
+				return dst, false
+			}
+			m.key = []byte(key)
+		}
+		i = skipSpace(data, end)
+		if i == len(data) || data[i] != ':' {
+			return dst, false
+		}
+		i = skipSpace(data, i+1)
+		end = valueEnd(data, i)
+		if end < 0 {
+			return dst, false
+		}
+		m.value = data[i:end]
+		dst = append(dst, m)
+		i = skipSpace(data, end)
+		if i == len(data) {
+			return dst, false
+		}
+		switch data[i] {
+		case ',':
+			i = skipSpace(data, i+1)
+		case '}':
+			if skipSpace(data, i+1) != len(data) {
+				return dst, false
+			}
+			return dst, true
+		default:
+			return dst, false
+		}
+	}
+}
+
+// stringEnd returns the index just past the JSON string starting at
+// data[i], or -1 if there is none, and whether the string holds an
+// escape. Checking the rest of it is left to whoever decodes it.
+func stringEnd(data []byte, i int) (end int, escaped bool) {
+	if i == len(data) || data[i] != '"' {
+		return -1, false
+	}
+	for j := i + 1; j < len(data); j++ {
+		switch data[j] {
+		case '"':
+			return j + 1, escaped
+		case '\\':
+			escaped = true
+			j++
+		}
+	}
+	return -1, false
+}
+
+// valueEnd returns the index just past the JSON value starting at data[i],
+// or -1 if it is unterminated. Strings and nesting are followed, but
+// nothing else is checked: a literal runs to the next delimiter.
+func valueEnd(data []byte, i int) int {
+	if i == len(data) {
+		return -1
+	}
+	switch data[i] {
+	case '"':
+		end, _ := stringEnd(data, i)
+		return end
+	case '{', '[':
+		depth := 0
+		for j := i; j < len(data); j++ {
+			switch data[j] {
+			case '"':
+				end, _ := stringEnd(data, j)
+				if end < 0 {
+					return -1
+				}
+				j = end - 1
+			case '{', '[':
+				depth++
+			case '}', ']':
+				if depth--; depth == 0 {
+					return j + 1
+				}
+			}
+		}
+		return -1
+	}
+	j := i
+	for j < len(data) && !isSpace(data[j]) && data[j] != ',' && data[j] != '}' && data[j] != ']' {
+		j++
+	}
+	if j == i {
+		return -1
+	}
+	return j
+}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+func skipSpace(data []byte, i int) int {
+	for i < len(data) && isSpace(data[i]) {
+		i++
+	}
+	return i
+}
+
+// isNull reports whether data is the JSON literal null.
+func isNull(data []byte) bool {
+	i := skipSpace(data, 0)
+	return len(data)-i >= 4 && string(data[i:i+4]) == "null" && skipSpace(data, i+4) == len(data)
+}
+
+// plainString reports whether value is a JSON string whose text between
+// the quotes is plainText: that text is its value.
+func plainString(value []byte) bool {
+	return len(value) >= 2 && value[0] == '"' && value[len(value)-1] == '"' && plainText(value[1:len(value)-1])
+}
+
+// plainText reports whether text is printable ASCII that encoding/json
+// writes between quotes unchanged: no quote, backslash or HTML-escaped
+// character.
+func plainText[T string | []byte](text T) bool {
+	for i := 0; i < len(text); i++ {
+		if c := text[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
+}
+
+// decodeInt decodes value into dst. A JSON integer with no sign,
+// fraction or exponent, the form the encoder writes, that fits dst is
+// parsed directly; any other value goes through encoding/json.
+func decodeInt[T int | uint64](value []byte, dst *T) error {
+	plain := len(value) > 0 && (value[0] != '0' || len(value) == 1)
+	for _, c := range value {
+		plain = plain && '0' <= c && c <= '9'
+	}
+	if plain {
+		// n fits T when converting it keeps both its value and its sign.
+		if n, err := strconv.ParseUint(string(value), 10, 64); err == nil && uint64(T(n)) == n && T(n) >= 0 {
+			*dst = T(n)
+			return nil
+		}
+	}
+	return json.Unmarshal(value, dst)
+}
+
+// appendString appends str as a JSON string, spelled as encoding/json
+// spells it.
+func appendString(out []byte, str string) []byte {
+	if plainText(str) {
+		return append(append(append(out, '"'), str...), '"')
+	}
+	buf, _ := json.Marshal(str)
+	return append(out, buf...)
+}
+
+// appendKey starts the member named key of the object being written in
+// out.
+func appendKey(out []byte, key string) []byte {
+	out = append(appendComma(out), '"')
+	return append(append(out, key...), '"', ':')
+}
+
+// appendMember appends m to the object being written in out.
+func appendMember(out []byte, m member) []byte {
+	out = append(appendComma(out), m.raw...)
+	return append(append(out, ':'), m.value...)
+}
+
+// appendComma separates a member from the one before it, if any, in the
+// object being written in out.
+func appendComma(out []byte) []byte {
+	if len(out) > 1 {
+		return append(out, ',')
+	}
+	return out
+}
+
+// strictDecoder is a json.Decoder that rejects unknown fields. Its
+// source is swapped per call, so one decoder, with its buffer and scanner
+// state, serves many decodes.
+type strictDecoder struct {
+	src bytes.Reader
+	dec *json.Decoder
+}
+
+var strictDecoders = sync.Pool{New: func() any {
+	d := &strictDecoder{}
+	d.dec = json.NewDecoder(&d.src)
+	d.dec.DisallowUnknownFields()
+	return d
+}}
+
+// strictDecode decodes the JSON value in data into v, rejecting unknown
+// fields.
 func strictDecode(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	d := strictDecoders.Get().(*strictDecoder)
+	d.src.Reset(data)
+	start := d.dec.InputOffset()
+	err := d.dec.Decode(v)
+	clean := err == nil && d.dec.InputOffset()-start == int64(len(data))
+	d.src.Reset(nil)
+	if clean {
+		// Only a decoder that consumed exactly data goes back: a failed
+		// one may hold a sticky error, and unread bytes would be read as
+		// the start of the next caller's value.
+		strictDecoders.Put(d)
+	}
+	return err
 }
 
 // kind resolves the family discriminant ("" means the registered default).
@@ -163,15 +530,29 @@ func kindOrDefault(kind string) string {
 	return kind
 }
 
+// nilPayload reports whether p is nil or a nil pointer, map or slice: a
+// payload that holds nothing behaves like no payload at all, the family's
+// zero payload, in every Spec method.
+func nilPayload(p Payload) bool {
+	if p == nil {
+		return true
+	}
+	switch v := reflect.ValueOf(p); v.Kind() {
+	case reflect.Pointer, reflect.Map, reflect.Slice:
+		return v.IsNil()
+	}
+	return false
+}
+
 // payloadFor resolves s.Payload as e's payload type. The Kind/Payload
 // pair is a caller contract: a payload whose concrete type is not the
 // kind's own is rejected outright — never converted through the codec,
 // where a foreign family whose JSON fields happen to be a subset of the
-// kind's would silently run the wrong simulation. A nil payload resolves
-// to the family's zero payload.
+// kind's would silently run the wrong simulation. A nil payload, typed or
+// not, resolves to the family's zero payload.
 func (s Spec) payloadFor(e Engine) (Payload, error) {
 	p := e.NewPayload()
-	if s.Payload == nil {
+	if nilPayload(s.Payload) {
 		return p, nil
 	}
 	if reflect.TypeOf(s.Payload) != reflect.TypeOf(p) {
@@ -189,7 +570,7 @@ func (s Spec) payloadFor(e Engine) (Payload, error) {
 // the wrong family here.
 func (s Spec) Clone() Spec {
 	e, err := Lookup(s.kind())
-	if err != nil || s.Payload == nil {
+	if err != nil || nilPayload(s.Payload) {
 		return s
 	}
 	buf, err := json.Marshal(s.Payload)
@@ -383,7 +764,7 @@ func (s *Spec) ApplyAxis(param string, v float64) error {
 // states.
 func (s *Spec) SetSeed(seed uint64) {
 	s.Seed = seed
-	if f, ok := s.Payload.(SeedFollower); ok {
+	if f, ok := s.Payload.(SeedFollower); ok && !nilPayload(s.Payload) {
 		f.FollowSeed(seed)
 	}
 }

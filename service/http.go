@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -197,6 +198,24 @@ func (s *Service) admitSubmit(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
+// decodeBody decodes a request body that holds exactly one JSON value
+// into v. An unknown field is an error, and so is anything but whitespace
+// after the value: a second value would otherwise be dropped unread.
+func decodeBody(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("a second JSON value")
+		}
+		return fmt.Errorf("unexpected data after the JSON value: %w", err)
+	}
+	return nil
+}
+
 // decodeStatus maps a request-decoding error to its HTTP status.
 func decodeStatus(err error) int {
 	var tooBig *http.MaxBytesError
@@ -211,9 +230,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeBody(r.Body, &spec); err != nil {
 		writeError(w, decodeStatus(err), fmt.Errorf("invalid spec JSON: %w", err))
 		return
 	}
@@ -230,9 +247,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(r.Body, &req); err != nil {
 		writeError(w, decodeStatus(err), fmt.Errorf("invalid batch JSON: %w", err))
 		return
 	}

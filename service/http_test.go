@@ -287,6 +287,45 @@ func TestBodySizeCap(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsTrailingData: a submit or batch body holds exactly one
+// JSON value. Trailing bytes get a 400 naming the body, where before they
+// were ignored, and with them a second spec the caller meant to submit.
+func TestSubmitRejectsTrailingData(t *testing.T) {
+	s := newHTTPService(t, service.Options{Workers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec := `{"init":{"kind":"twovalue","n":100},"rule":{"name":"median"},"seed":1}`
+	batch := `{"template":` + spec + `,"axes":[{"param":"seed","values":[1,2]}]}`
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	for _, c := range []struct{ path, body, want string }{
+		{"/v1/runs", spec + ` garbage`, "invalid spec JSON"},
+		{"/v1/runs", spec + `{"init":{"kind":"twovalue","n":50}}`, "invalid spec JSON"},
+		{"/v1/batches", batch + ` garbage`, "invalid batch JSON"},
+	} {
+		code, msg := post(c.path, c.body)
+		if code != http.StatusBadRequest || !strings.Contains(msg, c.want) {
+			t.Errorf("POST %s %s: status %d %s, want 400 %q", c.path, c.body, code, msg, c.want)
+		}
+	}
+	// Trailing whitespace is not data.
+	for path, body := range map[string]string{"/v1/runs": spec + "\n", "/v1/batches": batch + " \n"} {
+		if code, msg := post(path, body); code != http.StatusAccepted && code != http.StatusOK {
+			t.Errorf("POST %s with trailing whitespace: status %d %s", path, code, msg)
+		}
+	}
+}
+
 // TestSubmitRateLimit: the token bucket sheds excess submit requests with
 // 429 and a Retry-After hint, and counts them in the metrics.
 func TestSubmitRateLimit(t *testing.T) {

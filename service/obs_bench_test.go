@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -56,6 +57,49 @@ func BenchmarkSubmitCacheHit(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSpecCodec times the spec codec on the serve benchmark's hit
+// spec (median, uniform n = 5000, m = 16, seeded and normalized): the
+// canonical encode, the decode of that encoding, and Hash, which adds
+// Normalize and the SHA-256 digest to the encode. Every served request
+// pays several of each across client and server.
+func BenchmarkSpecCodec(b *testing.B) {
+	spec := Spec{Payload: &MedianSpec{
+		Init: InitSpec{Kind: "uniform", N: 5000, M: 16},
+		Rule: RuleSpec{Name: "median"},
+	}}
+	spec.SetSeed(12345)
+	spec = spec.Normalize()
+	canonical, err := json.Marshal(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("marshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := json.Marshal(spec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("unmarshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			var s Spec
+			if err := json.Unmarshal(canonical, &s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("hash", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := spec.Hash(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkObservedRun runs the engine under the exact per-round
