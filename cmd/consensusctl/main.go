@@ -49,6 +49,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
@@ -594,7 +595,7 @@ func checkAxes(tmpl service.Spec, groups ...[]service.Axis) error {
 		for _, ax := range axes {
 			if !tmpl.AxisOK(ax.Param) {
 				return fmt.Errorf("kind %s has no batch axis %q (see consensusctl engines)",
-					tmpl.Normalize().Kind, ax.Param)
+					cmp.Or(tmpl.Kind, engine.DefaultKind()), ax.Param)
 			}
 		}
 	}

@@ -79,9 +79,6 @@ func (s *Spec) Validate() error {
 	return core.CheckHook(cfg.Adversary, eng.String(), eng == EngineBall, cfg.Timing)
 }
 
-// Population implements engine.Payload.
-func (s *Spec) Population() int64 { return initspec.Size(s.Init) }
-
 // Run implements engine.Payload. The engine resolves here, from the
 // registry components alone, through the same pick Run uses: runs on the
 // count engine (count, twobin, and auto unless the adversary lacks a count
@@ -123,7 +120,7 @@ func (s *Spec) Run(ctx engine.RunContext) (engine.Result, error) {
 	}, nil
 }
 
-// MaterializedSize implements engine.Materializer: the number of
+// MaterializedSize implements engine.Payload: the number of
 // per-process states the run will actually allocate. Runs on the count
 // engine hold the distribution, O(support), never the O(n) vector — which
 // is what admission control should charge for. The engine resolves

@@ -109,6 +109,12 @@ func checkDecode(t *testing.T, data []byte, gotErr, wantErr error, got engine.Sp
 		if err != nil || !bytes.Equal(enc, g) {
 			t.Fatalf("encode of %s %q:\n got       %s (%v)\n reference %s", form.name, data, enc, err, g)
 		}
+		// MarshalJSON called directly, as Admit and Canonical call it,
+		// writes exactly what json.Marshal does: the canonical bytes need
+		// no compaction pass.
+		if direct, err := form.got.MarshalJSON(); err != nil || !bytes.Equal(direct, enc) {
+			t.Fatalf("MarshalJSON of %s %q:\n direct       %s (%v)\n json.Marshal %s", form.name, data, direct, err, enc)
+		}
 	}
 }
 
@@ -128,7 +134,6 @@ func TestSpecTypedNilPayload(t *testing.T) {
 		{"MarshalJSON", encode},
 		{"Normalize", func(s engine.Spec) string { return encode(s.Normalize()) }},
 		{"Validate", func(s engine.Spec) string { return fmt.Sprint(s.Validate()) }},
-		{"Population", func(s engine.Spec) string { return fmt.Sprint(s.Population()) }},
 		{"MaterializedSize", func(s engine.Spec) string { return fmt.Sprint(s.MaterializedSize()) }},
 		{"Hash", func(s engine.Spec) string {
 			h, err := s.Hash()

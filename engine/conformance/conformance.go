@@ -2,7 +2,8 @@
 // plugins: for every registered kind it decodes a spec from the kind's
 // Descriptor Example, then asserts the invariants every part of the
 // service stack leans on — Normalize is idempotent, Validate accepts the
-// normalized spec, the canonical encoding round-trips byte-identically,
+// normalized spec, which reports a positive MaterializedSize for
+// admission, the canonical encoding round-trips byte-identically,
 // descriptor defaults really are what omitted fields normalize to,
 // Execute of the tiny example observes at least one round, is
 // deterministic, and honors mid-run cancellation — and the run's outcome
@@ -64,6 +65,12 @@ func RunKind(t *testing.T, kind string) {
 	// Validate accepts the normalized spec.
 	if err := norm.Validate(); err != nil {
 		t.Errorf("normalized example fails Validate: %v", err)
+	}
+
+	// Admission charges MaterializedSize, so a valid spec must report a
+	// positive size: 0 would pass every MaxN bound unchecked.
+	if size := norm.MaterializedSize(); size <= 0 {
+		t.Errorf("normalized example reports MaterializedSize %d, want > 0", size)
 	}
 
 	// The canonical encoding round-trips byte-identically through the

@@ -6,7 +6,7 @@
 //     (parameter schema, batch axes) and a typed spec Payload;
 //   - a Payload normalizes to a canonical form (so equivalent specs hash
 //     identically), validates without materializing O(n) state, reports its
-//     population for admission control, and runs;
+//     materialized size for admission control, and runs;
 //   - every run reports one Record per executed round through the
 //     RunContext's Observe hook — the hook doubles as the cancellation
 //     point: Execute's observer panics with a private sentinel when the
@@ -22,7 +22,6 @@
 package engine
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 )
@@ -168,24 +167,15 @@ type Payload interface {
 	// parameter is in range, without materializing the O(n) state — it
 	// runs on every API request.
 	Validate() error
-	// Population reports the population the run would materialize, for
-	// admission control. 0 means unknown.
-	Population() int64
+	// MaterializedSize reports the number of per-process states the run
+	// will actually allocate, which admission bounds (Spec.Admit): a
+	// count-level run holds its O(support) distribution, never the O(n)
+	// per-process vector. It must be positive for a valid payload; 0
+	// would pass every bound unchecked.
+	MaterializedSize() int64
 	// Run executes the simulation synchronously. It must be deterministic
 	// in (payload, ctx.Seed) and must call ctx.Observe once per round.
 	Run(ctx RunContext) (Result, error)
-}
-
-// Materializer is implemented by payloads whose runtime footprint can be
-// far below Population(): count-level engines hold the value distribution,
-// O(support), never the O(n) per-process vector. Admission control charges
-// MaterializedSize() when available, so a count-engine run over n = 10⁹
-// processes is admitted while a per-process run of the same n is rejected.
-type Materializer interface {
-	// MaterializedSize reports the number of per-process states the run
-	// will actually allocate. 0 means unknown (callers fall back to
-	// Population).
-	MaterializedSize() int64
 }
 
 // AxisApplier is implemented by payloads that support server-side batch
@@ -230,9 +220,11 @@ type cancelSignal struct{}
 // Execute runs a spec of any registered kind synchronously. observe, when
 // non-nil, receives one Record per executed round. cancelled, when non-nil,
 // is polled once per round; returning true aborts the run with ErrCancelled.
-// Any engine panic (e.g. an invalid engine/state combination that Validate
-// cannot see) is converted into an error so a bad spec can never take down
-// the serving process.
+// The spec is normalized and validated first, as Admit does with no size
+// bound, so a spec that fails validation fails here with Admit's error.
+// Any engine panic (e.g. an invalid engine/state combination that
+// Validate cannot see) is converted into an error so a bad spec can never
+// take down the serving process.
 func Execute(spec Spec, observe func(Record), cancelled func() bool) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -243,20 +235,13 @@ func Execute(spec Spec, observe func(Record), cancelled func() bool) (res Result
 			err = fmt.Errorf("engine: run panicked: %v", r)
 		}
 	}()
-	spec = spec.Normalize()
-	e, err := Lookup(spec.Kind)
-	if err != nil {
-		return Result{}, err
-	}
-	p, err := spec.payloadFor(e)
-	if err != nil {
+	if spec, err = spec.admit(0); err != nil {
 		return Result{}, err
 	}
 	seed := spec.Seed
 	if seed == 0 {
-		// The spec is already normalized, so its plain encoding is the
-		// canonical one — skip EffectiveSeed's re-normalization.
-		canonical, err := json.Marshal(spec)
+		// Only a seedless spec needs its hash: the seed derives from it.
+		canonical, err := spec.MarshalJSON()
 		if err != nil {
 			return Result{}, err
 		}
@@ -274,7 +259,7 @@ func Execute(spec Spec, observe func(Record), cancelled func() bool) (res Result
 			}
 		},
 	}
-	res, err = p.Run(ctx)
+	res, err = spec.Payload.Run(ctx)
 	if err != nil {
 		return Result{}, err
 	}

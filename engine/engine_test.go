@@ -32,7 +32,7 @@ func (f *fakeSpec) Validate() error {
 	return nil
 }
 
-func (f *fakeSpec) Population() int64 { return int64(f.N) }
+func (f *fakeSpec) MaterializedSize() int64 { return int64(f.N) }
 
 func (f *fakeSpec) Run(ctx engine.RunContext) (engine.Result, error) {
 	rounds := f.Rounds
@@ -135,7 +135,7 @@ type inertSpec struct{}
 
 func (*inertSpec) Normalize()                                   {}
 func (*inertSpec) Validate() error                              { return nil }
-func (*inertSpec) Population() int64                            { return 0 }
+func (*inertSpec) MaterializedSize() int64                      { return 0 }
 func (*inertSpec) Run(engine.RunContext) (engine.Result, error) { return engine.Result{}, nil }
 func (noAxisEngine) NewPayload() engine.Payload                 { return &inertSpec{} }
 func (noAxisEngine) Descriptor() engine.Descriptor {
@@ -239,6 +239,33 @@ func TestSpecDecodeConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestAdmit pins the admission contract: the normalized spec comes back
+// with Hash's hash, the size bound is inclusive and 0 means none, and a
+// spec Validate rejects is not admitted.
+func TestAdmit(t *testing.T) {
+	spec := engine.Spec{Kind: "fake", Seed: 3, Payload: &fakeSpec{N: 10}}
+	want, err := spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, max := range []int64{0, 10} {
+		got, hash, err := spec.Admit(max)
+		if err != nil {
+			t.Fatalf("Admit(%d): %v", max, err)
+		}
+		if hash != want || !reflect.DeepEqual(got, spec.Normalize()) {
+			t.Fatalf("Admit(%d) = %+v, %s; want the normalized spec and %s", max, got, hash, want)
+		}
+	}
+	if _, _, err := spec.Admit(9); err == nil || !strings.Contains(err.Error(), "materialized size 10 exceeds the limit 9") {
+		t.Fatalf("Admit(9) = %v, want the size error", err)
+	}
+	invalid := engine.Spec{Kind: "fake", Payload: &fakeSpec{}}
+	if _, _, err := invalid.Admit(0); err == nil || err.Error() != invalid.Validate().Error() {
+		t.Fatalf("Admit of an invalid spec = %v, want Validate's error", err)
+	}
 }
 
 func TestSpecNormalizeDoesNotMutateCaller(t *testing.T) {

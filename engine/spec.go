@@ -47,9 +47,9 @@ var ErrSpecVersion = errors.New("engine: unsupported spec version")
 //	{"kind":"gossip","init":{...},"cap_factor":2,"selector":"drop-value:1"}
 //
 // — and decoding is strict: an unknown field (for the spec's kind) is an
-// error, never silently dropped. Decode, Normalize, Validate, Population,
-// the canonical hash and Execute all dispatch through the registry; no code
-// in this package knows any family by name.
+// error, never silently dropped. Decode, Normalize, Validate,
+// MaterializedSize, the canonical hash and Execute all dispatch through the
+// registry; no code in this package knows any family by name.
 type Spec struct {
 	// Kind selects the simulation family ("" = the registry's default
 	// kind, median).
@@ -638,25 +638,8 @@ func (s Spec) Validate() error {
 	return p.Validate()
 }
 
-// Population reports the population the spec would materialize, for
-// admission control. 0 means unknown.
-func (s Spec) Population() int64 {
-	e, err := Lookup(s.kind())
-	if err != nil {
-		return 0
-	}
-	p, err := s.payloadFor(e)
-	if err != nil {
-		return 0
-	}
-	return p.Population()
-}
-
-// MaterializedSize reports the number of per-process states the run will
-// actually allocate: the payload's MaterializedSize when it implements
-// Materializer (and knows the answer), else Population. This is the
-// quantity admission control should bound — a count-level run over a huge
-// population only ever holds its O(support) distribution.
+// MaterializedSize reports the payload's MaterializedSize, the quantity
+// Admit bounds. 0 means the kind or payload is unknown.
 func (s Spec) MaterializedSize() int64 {
 	e, err := Lookup(s.kind())
 	if err != nil {
@@ -666,18 +649,44 @@ func (s Spec) MaterializedSize() int64 {
 	if err != nil {
 		return 0
 	}
-	if m, ok := p.(Materializer); ok {
-		if sz := m.MaterializedSize(); sz > 0 {
-			return sz
+	return p.MaterializedSize()
+}
+
+// Admit is the one admission step a spec passes before it is cached or
+// run: it normalizes the spec, validates it, bounds its MaterializedSize
+// by maxSize (0 = no bound) and returns the normalized spec with its
+// canonical hash, the SHA-256 of its MarshalJSON output.
+func (s Spec) Admit(maxSize int64) (Spec, string, error) {
+	s, err := s.admit(maxSize)
+	if err != nil {
+		return Spec{}, "", err
+	}
+	canonical, err := s.MarshalJSON()
+	if err != nil {
+		return Spec{}, "", err
+	}
+	return s, HashBytes(canonical), nil
+}
+
+// admit is Admit without the hash, which Execute needs only for a
+// seedless spec.
+func (s Spec) admit(maxSize int64) (Spec, error) {
+	s = s.Normalize()
+	if err := s.Validate(); err != nil {
+		return Spec{}, err
+	}
+	if maxSize > 0 {
+		if n := s.MaterializedSize(); n > maxSize {
+			return Spec{}, fmt.Errorf("engine: materialized size %d exceeds the limit %d", n, maxSize)
 		}
 	}
-	return p.Population()
+	return s, nil
 }
 
 // Canonical returns the canonical JSON encoding of the normalized spec —
 // the byte string the hash, cache and seed derivation are defined over.
 func (s Spec) Canonical() ([]byte, error) {
-	return json.Marshal(s.Normalize())
+	return s.Normalize().MarshalJSON()
 }
 
 // Hash returns the canonical spec hash as a hex string.
@@ -689,10 +698,8 @@ func (s Spec) Hash() (string, error) {
 	return HashBytes(c), nil
 }
 
-// HashBytes digests a canonical encoding into the spec hash. It lets bulk
-// callers that hold an already-normalized spec (the batch expander) hash
-// json.Marshal(spec) directly instead of paying Hash's re-normalization
-// round-trip per cell; Hash(s) == HashBytes(s.Canonical()).
+// HashBytes digests a canonical encoding into the spec hash:
+// Hash(s) == HashBytes(s.Canonical()).
 func HashBytes(canonical []byte) string {
 	sum := sha256.Sum256(canonical)
 	return fmt.Sprintf("%x", sum[:])

@@ -155,7 +155,8 @@ func (r Result) String() string {
 		r.Reason, r.Rounds, r.Winner, r.WinnerCount)
 }
 
-// stabilityTracker implements the shared stop logic.
+// StabilityTracker implements the stop logic every engine shares (the
+// ball and count engines here, and the gossip network).
 //
 // Semantics follow the paper: without an adversary, full agreement is a
 // fixed point of the dynamics, so count == n stops the run immediately with
@@ -163,7 +164,7 @@ func (r Result) String() string {
 // stable (the adversary rewrites states next round), so the tracker only
 // ever reports StopAlmostStable, and only after the plurality value has
 // held at least n−slack processes for `window` consecutive rounds.
-type stabilityTracker struct {
+type StabilityTracker struct {
 	slack      int64
 	window     int
 	n          int64
@@ -173,12 +174,15 @@ type stabilityTracker struct {
 	since      int
 }
 
-func newStabilityTracker(n int64, fixedPoint bool, opts Options) *stabilityTracker {
+// NewStabilityTracker returns the tracker of a run over n processes;
+// fixedPoint is set when no adversary is present. It reads only
+// opts.AlmostSlack and opts.Window.
+func NewStabilityTracker(n int64, fixedPoint bool, opts Options) *StabilityTracker {
 	w := opts.Window
 	if w <= 0 {
 		w = DefaultWindow
 	}
-	return &stabilityTracker{
+	return &StabilityTracker{
 		slack:      int64(opts.AlmostSlack),
 		window:     w,
 		n:          n,
@@ -186,11 +190,11 @@ func newStabilityTracker(n int64, fixedPoint bool, opts Options) *stabilityTrack
 	}
 }
 
-// observe processes the round's plurality value and count; it returns a
+// Observe processes the round's plurality value and count; it returns a
 // stop reason and true when the run should stop.
 //
 //consensus:hotpath
-func (s *stabilityTracker) observe(round int, winner Value, count int64) (model.StopReason, bool) {
+func (s *StabilityTracker) Observe(round int, winner Value, count int64) (model.StopReason, bool) {
 	if s.fixedPoint && count == s.n {
 		s.since = round
 		return model.StopConsensus, true
@@ -350,7 +354,7 @@ func (e *BallEngine) Run() Result {
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
 	}
-	tracker := newStabilityTracker(int64(len(e.state)), e.adv == nil, e.opts)
+	tracker := NewStabilityTracker(int64(len(e.state)), e.adv == nil, e.opts)
 	counts := make(map[Value]int64, 16)
 
 	// Check the initial state too: a run that starts at consensus is done.
@@ -363,28 +367,28 @@ func (e *BallEngine) Run() Result {
 			return Result{Rounds: e.round, Reason: res, Winner: w, WinnerCount: c, StableSince: tracker.since}
 		}
 	}
-	w, c := pluralityOf(e.state, counts)
+	w, c := PluralityOf(e.state, counts)
 	return Result{Rounds: e.round, Reason: model.StopMaxRounds, Winner: w, WinnerCount: c}
 }
 
 //consensus:hotpath
-func (e *BallEngine) checkState(tracker *stabilityTracker, counts map[Value]int64, round int) (Value, int64, bool, model.StopReason) {
-	w, c := pluralityOf(e.state, counts)
+func (e *BallEngine) checkState(tracker *StabilityTracker, counts map[Value]int64, round int) (Value, int64, bool, model.StopReason) {
+	w, c := PluralityOf(e.state, counts)
 	if e.opts.Observer != nil {
 		vals, cnts := e.distInto(counts)
 		e.opts.Observer(round, vals, cnts)
 	}
-	if reason, stop := tracker.observe(round, w, c); stop {
+	if reason, stop := tracker.Observe(round, w, c); stop {
 		return w, c, true, reason
 	}
 	return w, c, false, 0
 }
 
-// pluralityOf fills counts (clearing it first) and returns the plurality
+// PluralityOf fills counts (clearing it first) and returns the plurality
 // value, breaking ties toward the smaller value for determinism.
 //
 //consensus:hotpath
-func pluralityOf(state []Value, counts map[Value]int64) (Value, int64) {
+func PluralityOf(state []Value, counts map[Value]int64) (Value, int64) {
 	for k := range counts {
 		delete(counts, k)
 	}
@@ -690,7 +694,7 @@ func (e *CountEngine) Run() Result {
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
 	}
-	tracker := newStabilityTracker(e.n, e.adv == nil, e.opts)
+	tracker := NewStabilityTracker(e.n, e.adv == nil, e.opts)
 	if w, c, stop, res := e.check(tracker, 0); stop {
 		return Result{Rounds: 0, Reason: res, Winner: w, WinnerCount: c, StableSince: tracker.since}
 	}
@@ -705,12 +709,12 @@ func (e *CountEngine) Run() Result {
 }
 
 //consensus:hotpath
-func (e *CountEngine) check(tracker *stabilityTracker, round int) (Value, int64, bool, model.StopReason) {
+func (e *CountEngine) check(tracker *StabilityTracker, round int) (Value, int64, bool, model.StopReason) {
 	w, c := e.plurality()
 	if e.opts.Observer != nil {
 		e.opts.Observer(round, e.vals, e.counts)
 	}
-	if reason, stop := tracker.observe(round, w, c); stop {
+	if reason, stop := tracker.Observe(round, w, c); stop {
 		return w, c, true, reason
 	}
 	return w, c, false, 0

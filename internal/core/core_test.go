@@ -203,24 +203,24 @@ func TestAlmostStableStop(t *testing.T) {
 }
 
 func TestStabilityTrackerWindowResets(t *testing.T) {
-	tr := newStabilityTracker(100, false, Options{AlmostSlack: 5, Window: 3})
+	tr := NewStabilityTracker(100, false, Options{AlmostSlack: 5, Window: 3})
 	// Two good rounds, then a bad one, then three good: stop at the third.
-	if _, stop := tr.observe(0, 7, 96); stop {
+	if _, stop := tr.Observe(0, 7, 96); stop {
 		t.Fatal("stopped too early")
 	}
-	if _, stop := tr.observe(1, 7, 97); stop {
+	if _, stop := tr.Observe(1, 7, 97); stop {
 		t.Fatal("stopped too early")
 	}
-	if _, stop := tr.observe(2, 7, 90); stop {
+	if _, stop := tr.Observe(2, 7, 90); stop {
 		t.Fatal("stopped on bad round")
 	}
-	if _, stop := tr.observe(3, 7, 96); stop {
+	if _, stop := tr.Observe(3, 7, 96); stop {
 		t.Fatal("window did not reset")
 	}
-	if _, stop := tr.observe(4, 7, 96); stop {
+	if _, stop := tr.Observe(4, 7, 96); stop {
 		t.Fatal("window too short")
 	}
-	reason, stop := tr.observe(5, 7, 96)
+	reason, stop := tr.Observe(5, 7, 96)
 	if !stop || reason != model.StopAlmostStable {
 		t.Fatalf("expected almost-stable stop, got %v %v", reason, stop)
 	}
@@ -230,11 +230,11 @@ func TestStabilityTrackerWindowResets(t *testing.T) {
 }
 
 func TestStabilityTrackerWinnerChangeResets(t *testing.T) {
-	tr := newStabilityTracker(100, false, Options{AlmostSlack: 5, Window: 3})
-	tr.observe(0, 7, 96)
-	tr.observe(1, 8, 96) // winner switched: run restarts at 1
-	tr.observe(2, 8, 96)
-	reason, stop := tr.observe(3, 8, 96)
+	tr := NewStabilityTracker(100, false, Options{AlmostSlack: 5, Window: 3})
+	tr.Observe(0, 7, 96)
+	tr.Observe(1, 8, 96) // winner switched: run restarts at 1
+	tr.Observe(2, 8, 96)
+	reason, stop := tr.Observe(3, 8, 96)
 	if !stop || reason != model.StopAlmostStable {
 		t.Fatalf("expected stop, got %v %v", reason, stop)
 	}
@@ -699,7 +699,7 @@ func TestCountEngineRoundAllocs(t *testing.T) {
 // them in one pass, so a steady-state round with all three must not touch
 // the heap.
 func TestTwoBinObservedRoundAllocs(t *testing.T) {
-	tracker := newStabilityTracker(1<<20, false, Options{})
+	tracker := NewStabilityTracker(1<<20, false, Options{})
 	var seen int64
 	eng := twoBin(1<<20, 1<<19, adversary.NewBalancer(adversary.Fixed(64), 1, 2), 1, Options{
 		Observer: func(round int, vals []Value, counts []int64) {
@@ -736,7 +736,7 @@ func TestBallEngineObservedCheckAllocs(t *testing.T) {
 			rounds++
 		},
 	})
-	tracker := newStabilityTracker(int64(len(cfg)), false, Options{})
+	tracker := NewStabilityTracker(int64(len(cfg)), false, Options{})
 	counts := make(map[Value]int64, 16)
 	eng.checkState(tracker, counts, 0)
 	avg := testing.AllocsPerRun(50, func() {

@@ -105,9 +105,10 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// Population implements engine.Payload. The run itself materializes O(n²)
-// floats for the transition matrix, never a per-process state.
-func (s *Spec) Population() int64 { return int64(s.N) }
+// MaterializedSize implements engine.Payload. The run itself materializes
+// O(n²) floats for the transition matrix, never a per-process state; it
+// is charged n.
+func (s *Spec) MaterializedSize() int64 { return int64(s.N) }
 
 // Run implements engine.Payload: build the chain, solve the absorption
 // systems, then propagate the start distribution emitting one record per

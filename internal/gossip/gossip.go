@@ -29,6 +29,7 @@ import (
 	"slices"
 
 	"repro/internal/assign"
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/rng"
 )
@@ -315,39 +316,28 @@ type Result struct {
 	Stats       Stats
 }
 
-// Run executes the protocol until a stop condition fires.
+// Run executes the protocol until a stop condition fires, under the stop
+// rule every engine shares (core.StabilityTracker).
 func (nw *Network) Run() Result {
 	maxRounds := nw.opts.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
 	}
-	window := nw.opts.Window
-	if window <= 0 {
-		window = 8
-	}
-	slack := int64(nw.opts.AlmostSlack)
-	n := int64(len(nw.values))
-	fixedPoint := nw.adv == nil
-
-	var curWin Value
-	run := 0
+	tracker := core.NewStabilityTracker(int64(len(nw.values)), nw.adv == nil,
+		core.Options{AlmostSlack: nw.opts.AlmostSlack, Window: nw.opts.Window})
+	counts := make(map[Value]int64, 16)
 	// With an observer attached, the per-round distribution is already
 	// computed (sorted, so the first maximal count is the smallest tied
-	// value — the same tie-break plurality uses); reuse it rather than
+	// value — the same tie-break PluralityOf uses); reuse it rather than
 	// aggregating the values a second time.
 	var obsVals []Value
 	var obsCounts []int64
-	observe := func() {
-		if nw.opts.Observer == nil {
-			return
-		}
-		obsVals, obsCounts = nw.distInto(obsVals[:0], obsCounts[:0])
-		nw.opts.Observer(nw.round, obsVals, obsCounts)
-	}
 	check := func() (Result, bool) {
 		var w Value
 		var c int64
 		if nw.opts.Observer != nil {
+			obsVals, obsCounts = nw.distInto(obsVals[:0], obsCounts[:0])
+			nw.opts.Observer(nw.round, obsVals, obsCounts)
 			c = -1
 			for i, cnt := range obsCounts {
 				if cnt > c {
@@ -355,40 +345,21 @@ func (nw *Network) Run() Result {
 				}
 			}
 		} else {
-			w, c = plurality(nw.values)
+			w, c = core.PluralityOf(nw.values, counts)
 		}
-		if fixedPoint && c == n {
-			return Result{Rounds: nw.round, Reason: model.StopConsensus, Winner: w, WinnerCount: c, Stats: nw.stats}, true
-		}
-		if !fixedPoint || slack > 0 {
-			if c >= n-slack {
-				if run == 0 || w != curWin {
-					curWin = w
-					run = 1
-				} else {
-					run++
-				}
-				if run >= window {
-					return Result{Rounds: nw.round, Reason: model.StopAlmostStable, Winner: w, WinnerCount: c, Stats: nw.stats}, true
-				}
-			} else {
-				run = 0
-			}
-		}
-		return Result{}, false
+		reason, stop := tracker.Observe(nw.round, w, c)
+		return Result{Rounds: nw.round, Reason: reason, Winner: w, WinnerCount: c, Stats: nw.stats}, stop
 	}
-	observe()
 	if res, stop := check(); stop {
 		return res
 	}
 	for nw.round < maxRounds {
 		nw.Step()
-		observe()
 		if res, stop := check(); stop {
 			return res
 		}
 	}
-	w, c := plurality(nw.values)
+	w, c := core.PluralityOf(nw.values, counts)
 	return Result{Rounds: nw.round, Reason: model.StopMaxRounds, Winner: w, WinnerCount: c, Stats: nw.stats}
 }
 
@@ -415,19 +386,4 @@ func (nw *Network) distInto(vals []Value, counts []int64) ([]Value, []int64) {
 		counts = append(counts, nw.distm[v])
 	}
 	return vals, counts
-}
-
-func plurality(values []Value) (Value, int64) {
-	counts := make(map[Value]int64)
-	for _, v := range values {
-		counts[v]++
-	}
-	var best Value
-	var bestC int64 = -1
-	for v, c := range counts {
-		if c > bestC || (c == bestC && v < best) {
-			best, bestC = v, c
-		}
-	}
-	return best, bestC
 }

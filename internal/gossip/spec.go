@@ -124,8 +124,9 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// Population implements engine.Payload.
-func (s *Spec) Population() int64 { return initspec.Size(s.Init) }
+// MaterializedSize implements engine.Payload: the network holds one state
+// per process.
+func (s *Spec) MaterializedSize() int64 { return initspec.Size(s.Init) }
 
 // Run implements engine.Payload.
 func (s *Spec) Run(ctx engine.RunContext) (engine.Result, error) {

@@ -111,7 +111,7 @@ func splitter() *service.AdversarySpec {
 // each run capped at s.MaxRounds — on a local service executor with
 // s.Workers workers, and folds the records into one cell per grid point.
 // Repetition r of grid point i runs with seed Mix64(Mix64(seed) + i·Reps +
-// r) for the template seed (service.ExpandBatch). The experiments have no
+// r) for the template seed (Service.ExpandBatch). The experiments have no
 // error path, so a sweep that cannot run panics.
 func (s Scale) sweep(req service.BatchRequest) []experiment.Cell {
 	req.Reps = s.Reps

@@ -116,10 +116,7 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// Population implements engine.Payload.
-func (s *Spec) Population() int64 { return InitSize(s.Init) }
-
-// MaterializedSize implements engine.Materializer: runs landing on the
+// MaterializedSize implements engine.Payload: runs landing on the
 // count engine hold the distribution over at most InitSupport distinct
 // tuples — O(k·d) memory, independent of n — which is what admission
 // control should charge for. The engine resolves exactly as Run resolves

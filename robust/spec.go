@@ -60,8 +60,9 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// Population implements engine.Payload.
-func (s *Spec) Population() int64 { return initspec.Size(s.Init) }
+// MaterializedSize implements engine.Payload: the run holds one state per
+// process.
+func (s *Spec) MaterializedSize() int64 { return initspec.Size(s.Init) }
 
 // Run implements engine.Payload. ctx.MaxRounds counts parallel rounds (n
 // activations each), the unit the round records use: the step cap is

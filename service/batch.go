@@ -1,8 +1,8 @@
 package service
 
 import (
+	"cmp"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -99,7 +99,7 @@ func (d DeriveRule) value(x float64) (float64, error) {
 }
 
 // BatchCell is one expanded cell of a batch: its grid coordinates and the
-// canonical spec it will run.
+// admitted spec it will run.
 type BatchCell struct {
 	// Index is the cell's position in expansion order.
 	Index int `json:"index"`
@@ -108,7 +108,8 @@ type BatchCell struct {
 	// Params echoes the axis values that produced the cell (grid-mode;
 	// cartesian axes first, then zip axes).
 	Params []float64 `json:"params,omitempty"`
-	// Spec is the normalized cell spec; SpecHash its canonical hash.
+	// Spec is the admitted cell spec (Spec.Admit); SpecHash its canonical
+	// hash.
 	Spec     Spec   `json:"spec"`
 	SpecHash string `json:"spec_hash"`
 }
@@ -128,12 +129,12 @@ type BatchCellRecord struct {
 	Error     string     `json:"error,omitempty"`
 }
 
-// BatchLimits bounds batch expansion. Zero values mean unlimited.
-type BatchLimits struct {
-	// MaxCells caps the number of expanded cells (reps included).
-	MaxCells int
-	// MaxN caps the population any single cell may materialize.
-	MaxN int64
+// batchLimits bounds batch expansion. Zero values mean unlimited.
+type batchLimits struct {
+	// maxCells caps the number of expanded cells (reps included).
+	maxCells int
+	// maxN caps the materialized size of any single cell.
+	maxN int64
 }
 
 // grid is the validated shape of a batch request's axes/zip/derive fields.
@@ -212,9 +213,9 @@ func axisParamIn(axes []Axis, param string) bool {
 	return false
 }
 
-// specKind renders a spec's kind for error messages ("" reads as the
-// default kind after normalization).
-func specKind(s Spec) string { return s.Normalize().Kind }
+// specKind renders a spec's kind for error messages ("" is the default
+// kind).
+func specKind(s Spec) string { return cmp.Or(s.Kind, engine.DefaultKind()) }
 
 // cell materializes one grid point: the cartesian axes at index ci (last
 // axis fastest), the zip axes at index zi, then the derived params.
@@ -256,26 +257,12 @@ func (g grid) cell(template Spec, ci, zi int) (Spec, []float64, error) {
 	return spec, params, nil
 }
 
-// ExpandBatch expands a batch request into canonical, validated cells:
-// the grid — cartesian axes times zipped axes, plus derived params —
-// applied to the template (or the explicit spec list), times Reps
-// repetitions.
-//
-// Repetition seeding is deterministic so batches are cache-stable: with
-// Reps == 1 the cell seeds are left exactly as the template/axes produced
-// them, and with Reps > 1 repetition r of cell i runs with seed
-// Mix64(Mix64(base) + i·Reps + r), where base is the cell's post-axis
-// seed, or a seed derived from the template hash when zero. Pre-mixing
-// the base keeps a seed axis from colliding across grid points (raw bases
-// differing by exactly (j−i)·Reps would otherwise derive identical rep
-// seeds). Init kinds that consume their own seed (uniform, random) follow
-// the run seed (engine.SeedFollower), so every repetition draws its own
-// initial state.
-func ExpandBatch(req BatchRequest, limits BatchLimits) ([]BatchCell, error) {
+// expandBatch is ExpandBatch under explicit limits.
+func expandBatch(req BatchRequest, limits batchLimits) ([]BatchCell, error) {
 	// maxCells is the absolute expansion ceiling, applied before any
 	// multiplication so attacker-sized axes/reps can neither overflow the
-	// cell count nor drive a huge allocation; BatchLimits.MaxCells can
-	// only tighten it.
+	// cell count nor drive a huge allocation; limits.maxCells can only
+	// tighten it.
 	const maxCells = 1 << 20
 	reps := req.Reps
 	if reps <= 0 {
@@ -301,8 +288,8 @@ func ExpandBatch(req BatchRequest, limits BatchLimits) ([]BatchCell, error) {
 	if total > maxCells {
 		return nil, fmt.Errorf("service: batch expands to %d cells, the limit is %d", total, maxCells)
 	}
-	if limits.MaxCells > 0 && total > limits.MaxCells {
-		return nil, fmt.Errorf("service: batch expands to %d cells, server limit is %d", total, limits.MaxCells)
+	if limits.maxCells > 0 && total > limits.maxCells {
+		return nil, fmt.Errorf("service: batch expands to %d cells, server limit is %d", total, limits.maxCells)
 	}
 
 	// base seeds the rep derivation for cells whose own seed is zero.
@@ -338,34 +325,41 @@ func ExpandBatch(req BatchRequest, limits BatchLimits) ([]BatchCell, error) {
 				cell = cell.Clone()
 				cell.SetSeed(rng.Mix64(rng.Mix64(s) + uint64(point)*uint64(reps) + uint64(rep)))
 			}
-			cell = cell.Normalize()
-			if err := cell.Validate(); err != nil {
-				return nil, fmt.Errorf("service: batch cell %d: %w", len(cells), err)
-			}
-			if n := cell.MaterializedSize(); limits.MaxN > 0 && n > limits.MaxN {
-				return nil, fmt.Errorf("service: batch cell %d: materialized size %d exceeds the server limit %d", len(cells), n, limits.MaxN)
-			}
-			// The cell is already normalized, so its plain encoding is the
-			// canonical one — skip Hash()'s per-cell re-normalization.
-			canonical, err := json.Marshal(cell)
+			cell, hash, err := cell.Admit(limits.maxN)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("service: batch cell %d: %w", len(cells), err)
 			}
 			cells = append(cells, BatchCell{
 				Index:    len(cells),
 				Rep:      rep,
 				Params:   params,
 				Spec:     cell,
-				SpecHash: engine.HashBytes(canonical),
+				SpecHash: hash,
 			})
 		}
 	}
 	return cells, nil
 }
 
-// ExpandBatch expands a request under the service's admission limits.
+// ExpandBatch expands a batch request into admitted cells: the grid —
+// cartesian axes times zipped axes, plus derived params — applied to the
+// template (or the explicit spec list), times Reps repetitions. Each cell
+// passes Spec.Admit exactly once, here, under the service's limits
+// (Options.MaxN, and Options.MaxBatchCells on the cell count); RunBatch
+// trusts the result.
+//
+// Repetition seeding is deterministic so batches are cache-stable: with
+// Reps == 1 the cell seeds are left exactly as the template/axes produced
+// them, and with Reps > 1 repetition r of cell i runs with seed
+// Mix64(Mix64(base) + i·Reps + r), where base is the cell's post-axis
+// seed, or a seed derived from the template hash when zero. Pre-mixing
+// the base keeps a seed axis from colliding across grid points (raw bases
+// differing by exactly (j−i)·Reps would otherwise derive identical rep
+// seeds). Init kinds that consume their own seed (uniform, random) follow
+// the run seed (engine.SeedFollower), so every repetition draws its own
+// initial state.
 func (s *Service) ExpandBatch(req BatchRequest) ([]BatchCell, error) {
-	return ExpandBatch(req, BatchLimits{MaxCells: s.opts.MaxBatchCells, MaxN: s.opts.MaxN})
+	return expandBatch(req, batchLimits{maxCells: s.opts.MaxBatchCells, maxN: s.opts.MaxN})
 }
 
 // RunBatch runs expanded cells through the worker pool and emits one
@@ -374,8 +368,17 @@ func (s *Service) ExpandBatch(req BatchRequest) ([]BatchCell, error) {
 // against in-flight runs (Coalesced for duplicates within the batch).
 // Submission applies backpressure — a full queue delays the batch instead
 // of failing it. RunBatch returns early only on context cancellation, a
-// closed service, or an emit error.
+// closed service, or an emit error, and stops submitting when it does.
+//
+// The cells must come from ExpandBatch: RunBatch does not admit them
+// again but queues each cell's Spec under its SpecHash as given. That is
+// safe because ExpandBatch is the only exported source of cells, and it
+// admits every one under this service's own limits.
 func (s *Service) RunBatch(ctx context.Context, cells []BatchCell, emit func(BatchCellRecord) error) error {
+	// The submitter below must not outlive RunBatch: cancelling on return
+	// releases it from a full channel nobody reads any more.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	s.metrics.batchesRun.Add(1)
 	s.metrics.batchCellsExpanded.Add(int64(len(cells)))
 	reqID := obs.RequestIDFrom(ctx)
@@ -407,8 +410,12 @@ func (s *Service) RunBatch(ctx context.Context, cells []BatchCell, emit func(Bat
 			if ctx.Err() != nil {
 				return
 			}
-			j, view, err := s.submitWithRetry(ctx, c.Spec, reqID)
-			ch <- outcome{cell: c, job: j, view: view, err: err}
+			j, view, err := s.submitWithRetry(ctx, c.Spec, c.SpecHash, reqID)
+			select {
+			case ch <- outcome{cell: c, job: j, view: view, err: err}:
+			case <-ctx.Done():
+				return
+			}
 			if err != nil && (errors.Is(err, ErrClosed) || ctx.Err() != nil) {
 				return
 			}
@@ -459,11 +466,12 @@ func (s *Service) RunBatch(ctx context.Context, cells []BatchCell, emit func(Bat
 	return nil
 }
 
-// submitWithRetry submits a cell, waiting out a full queue instead of
-// shedding it — batches are deliberate bulk work, not interactive load.
-func (s *Service) submitWithRetry(ctx context.Context, spec Spec, reqID string) (*Job, JobView, error) {
+// submitWithRetry enqueues an admitted cell, waiting out a full queue
+// instead of shedding it — batches are deliberate bulk work, not
+// interactive load.
+func (s *Service) submitWithRetry(ctx context.Context, spec Spec, hash, reqID string) (*Job, JobView, error) {
 	for {
-		j, view, err := s.submit(spec, reqID)
+		j, view, err := s.enqueue(spec, hash, reqID)
 		if !errors.Is(err, ErrQueueFull) {
 			return j, view, err
 		}

@@ -2,9 +2,13 @@ package service
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/adversary"
 	"repro/multidim"
@@ -37,7 +41,7 @@ func TestExpandBatchGrid(t *testing.T) {
 			{Param: "seed", Values: []float64{1, 2, 3}},
 		},
 	}
-	cells, err := ExpandBatch(req, BatchLimits{})
+	cells, err := expandBatch(req, batchLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +88,7 @@ func TestExpandBatchZip(t *testing.T) {
 			{Param: "crashes", Values: []float64{1, 10}},
 		},
 	}
-	cells, err := ExpandBatch(req, BatchLimits{})
+	cells, err := expandBatch(req, batchLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +108,7 @@ func TestExpandBatchZip(t *testing.T) {
 	}
 	// Unequal zip lengths are rejected.
 	req.Zip[1].Values = []float64{1}
-	if _, err := ExpandBatch(req, BatchLimits{}); err == nil {
+	if _, err := expandBatch(req, batchLimits{}); err == nil {
 		t.Fatal("unequal zip lengths must be rejected")
 	}
 }
@@ -124,7 +128,7 @@ func TestExpandBatchDerive(t *testing.T) {
 			{Param: "almost_slack", From: "n", Func: "sqrt", Factor: 3},
 		},
 	}
-	cells, err := ExpandBatch(req, BatchLimits{})
+	cells, err := expandBatch(req, batchLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,15 +143,15 @@ func TestExpandBatchDerive(t *testing.T) {
 	// Derive sources must be axes of the same request.
 	bad := req
 	bad.Derive = []DeriveRule{{Param: "almost_slack", From: "m", Func: "sqrt"}}
-	if _, err := ExpandBatch(bad, BatchLimits{}); err == nil {
+	if _, err := expandBatch(bad, batchLimits{}); err == nil {
 		t.Fatal("derive from a non-axis param must be rejected")
 	}
 	bad.Derive = []DeriveRule{{Param: "almost_slack", From: "n", Func: "warp"}}
-	if _, err := ExpandBatch(bad, BatchLimits{}); err == nil {
+	if _, err := expandBatch(bad, batchLimits{}); err == nil {
 		t.Fatal("unknown derive func must be rejected")
 	}
 	bad.Derive = []DeriveRule{{Param: "n", From: "n"}}
-	if _, err := ExpandBatch(bad, BatchLimits{}); err == nil {
+	if _, err := expandBatch(bad, batchLimits{}); err == nil {
 		t.Fatal("deriving an axis param must be rejected")
 	}
 }
@@ -164,7 +168,7 @@ func TestExpandBatchRejectsForeignPayload(t *testing.T) {
 		}},
 		Axes: []Axis{{Param: "seed", Values: []float64{1, 2}}},
 	}
-	if _, err := ExpandBatch(req, BatchLimits{}); err == nil {
+	if _, err := expandBatch(req, batchLimits{}); err == nil {
 		t.Fatal("foreign template payload must fail batch expansion")
 	}
 }
@@ -178,11 +182,11 @@ func TestExpandBatchReps(t *testing.T) {
 		Axes:     []Axis{{Param: "n", Values: []float64{100, 200}}},
 		Reps:     3,
 	}
-	a, err := ExpandBatch(req, BatchLimits{})
+	a, err := expandBatch(req, batchLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ExpandBatch(req, BatchLimits{})
+	b, err := expandBatch(req, batchLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +217,7 @@ func TestExpandBatchSeedAxisNoCollision(t *testing.T) {
 		Axes:     []Axis{{Param: "seed", Values: []float64{5, 3}}},
 		Reps:     2,
 	}
-	cells, err := ExpandBatch(req, BatchLimits{})
+	cells, err := expandBatch(req, batchLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +245,7 @@ func TestExpandBatchSeedFollowsInit(t *testing.T) {
 		Axes: []Axis{{Param: "n", Values: []float64{100}}},
 		Reps: 2,
 	}
-	cells, err := ExpandBatch(req, BatchLimits{})
+	cells, err := expandBatch(req, batchLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +270,7 @@ func TestExpandBatchMultidim(t *testing.T) {
 			{Param: "d", Values: []float64{1, 4}},
 		},
 	}
-	cells, err := ExpandBatch(req, BatchLimits{})
+	cells, err := expandBatch(req, batchLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +294,7 @@ func TestExpandBatchSpecsMode(t *testing.T) {
 	s1.Payload.(*MedianSpec).Init.N = 100
 	s2 := medianTemplate()
 	s2.Payload.(*MedianSpec).Init.N = 200
-	cells, err := ExpandBatch(BatchRequest{Specs: []Spec{s1, s2}, Reps: 2}, BatchLimits{})
+	cells, err := expandBatch(BatchRequest{Specs: []Spec{s1, s2}, Reps: 2}, batchLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,36 +314,81 @@ func TestExpandBatchErrors(t *testing.T) {
 	cases := []struct {
 		name   string
 		req    BatchRequest
-		limits BatchLimits
+		limits batchLimits
 	}{
-		{"unknown param", BatchRequest{Template: tmpl, Axes: []Axis{{Param: "warp", Values: []float64{1}}}}, BatchLimits{}},
-		{"empty axis", BatchRequest{Template: tmpl, Axes: []Axis{{Param: "n"}}}, BatchLimits{}},
+		{"unknown param", BatchRequest{Template: tmpl, Axes: []Axis{{Param: "warp", Values: []float64{1}}}}, batchLimits{}},
+		{"empty axis", BatchRequest{Template: tmpl, Axes: []Axis{{Param: "n"}}}, batchLimits{}},
 		{"duplicate axis", BatchRequest{Template: tmpl, Axes: []Axis{
-			{Param: "n", Values: []float64{10}}, {Param: "n", Values: []float64{20}}}}, BatchLimits{}},
-		{"non-integer n", BatchRequest{Template: tmpl, Axes: []Axis{{Param: "n", Values: []float64{100.5}}}}, BatchLimits{}},
-		{"cell cap", BatchRequest{Template: tmpl, Axes: []Axis{{Param: "n", Values: []float64{100, 200}}}, Reps: 3}, BatchLimits{MaxCells: 4}},
+			{Param: "n", Values: []float64{10}}, {Param: "n", Values: []float64{20}}}}, batchLimits{}},
+		{"non-integer n", BatchRequest{Template: tmpl, Axes: []Axis{{Param: "n", Values: []float64{100.5}}}}, batchLimits{}},
+		{"cell cap", BatchRequest{Template: tmpl, Axes: []Axis{{Param: "n", Values: []float64{100, 200}}}, Reps: 3}, batchLimits{maxCells: 4}},
 		// A huge reps must be rejected up front — not overflow the cell
 		// count past the caps into a giant allocation.
-		{"reps overflow", BatchRequest{Template: tmpl, Axes: []Axis{{Param: "n", Values: []float64{100, 200}}}, Reps: 1 << 30}, BatchLimits{MaxCells: 4096}},
-		{"reps overflow unlimited", BatchRequest{Template: tmpl, Axes: []Axis{{Param: "n", Values: []float64{100, 200}}}, Reps: 1 << 30}, BatchLimits{}},
-		{"hard cap without limits", BatchRequest{Template: tmpl, Axes: []Axis{{Param: "seed", Values: make([]float64, 2048)}}, Reps: 1024}, BatchLimits{}},
+		{"reps overflow", BatchRequest{Template: tmpl, Axes: []Axis{{Param: "n", Values: []float64{100, 200}}}, Reps: 1 << 30}, batchLimits{maxCells: 4096}},
+		{"reps overflow unlimited", BatchRequest{Template: tmpl, Axes: []Axis{{Param: "n", Values: []float64{100, 200}}}, Reps: 1 << 30}, batchLimits{}},
+		{"hard cap without limits", BatchRequest{Template: tmpl, Axes: []Axis{{Param: "seed", Values: make([]float64, 2048)}}, Reps: 1024}, batchLimits{}},
 		{"zip cap", BatchRequest{Template: tmpl,
 			Axes: []Axis{{Param: "seed", Values: make([]float64, 2048)}},
-			Zip:  []Axis{{Param: "n", Values: make([]float64, 2048)}}}, BatchLimits{}},
+			Zip:  []Axis{{Param: "n", Values: make([]float64, 2048)}}}, batchLimits{}},
 		// The cap charges materialized size: a twovalue template would
 		// resolve to the count engine and materialize only 2 states, so
 		// pin the per-process engine to make the population bite.
-		{"materialized-size cap", BatchRequest{Template: ballTmpl, Axes: []Axis{{Param: "n", Values: []float64{100000}}}}, BatchLimits{MaxN: 1000}},
-		{"invalid cell", BatchRequest{Template: tmpl, Axes: []Axis{{Param: "n", Values: []float64{0}}}}, BatchLimits{}},
-		{"axes and specs", BatchRequest{Template: tmpl, Axes: []Axis{{Param: "n", Values: []float64{10}}}, Specs: []Spec{tmpl}}, BatchLimits{}},
-		{"derive and specs", BatchRequest{Derive: []DeriveRule{{Param: "almost_slack", From: "n"}}, Specs: []Spec{tmpl}}, BatchLimits{}},
-		{"d on median", BatchRequest{Template: tmpl, Axes: []Axis{{Param: "d", Values: []float64{2}}}}, BatchLimits{}},
-		{"budget_factor without adversary", BatchRequest{Template: tmpl, Axes: []Axis{{Param: "budget_factor", Values: []float64{2}}}}, BatchLimits{}},
+		{"materialized-size cap", BatchRequest{Template: ballTmpl, Axes: []Axis{{Param: "n", Values: []float64{100000}}}}, batchLimits{maxN: 1000}},
+		{"invalid cell", BatchRequest{Template: tmpl, Axes: []Axis{{Param: "n", Values: []float64{0}}}}, batchLimits{}},
+		{"axes and specs", BatchRequest{Template: tmpl, Axes: []Axis{{Param: "n", Values: []float64{10}}}, Specs: []Spec{tmpl}}, batchLimits{}},
+		{"derive and specs", BatchRequest{Derive: []DeriveRule{{Param: "almost_slack", From: "n"}}, Specs: []Spec{tmpl}}, batchLimits{}},
+		{"d on median", BatchRequest{Template: tmpl, Axes: []Axis{{Param: "d", Values: []float64{2}}}}, batchLimits{}},
+		{"budget_factor without adversary", BatchRequest{Template: tmpl, Axes: []Axis{{Param: "budget_factor", Values: []float64{2}}}}, batchLimits{}},
 	}
 	for _, c := range cases {
-		if _, err := ExpandBatch(c.req, c.limits); err == nil {
+		if _, err := expandBatch(c.req, c.limits); err == nil {
 			t.Errorf("%s: expansion must fail", c.name)
 		}
+	}
+}
+
+// TestRunBatchStopsSubmitterOnEarlyReturn: when RunBatch returns early —
+// here on an emit error, with the caller's context cancelled afterwards —
+// its submitter goroutine exits too, instead of staying blocked on the
+// full outcome channel nobody reads any more.
+func TestRunBatchStopsSubmitterOnEarlyReturn(t *testing.T) {
+	s := newTestService(t, Options{Workers: 1})
+	defer s.Close()
+	tmpl := medianTemplate()
+	tmpl.Payload.(*MedianSpec).Init.N = 100
+	seeds := make([]float64, 600)
+	for i := range seeds {
+		seeds[i] = float64(i + 1)
+	}
+	cells, err := s.ExpandBatch(BatchRequest{Template: tmpl, Axes: []Axis{{Param: "seed", Values: seeds}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	gone := errors.New("client gone")
+	err = s.RunBatch(ctx, cells, func(BatchCellRecord) error {
+		// Fail the first record once the submitter has filled the outcome
+		// channel (256 slots) and submitted the cell it cannot hand over.
+		for deadline := time.Now().Add(10 * time.Second); s.Metrics().JobsSubmitted <= 257; {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("submitter stalled after %d cells", s.Metrics().JobsSubmitted)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return gone
+	})
+	if !errors.Is(err, gone) {
+		t.Fatalf("RunBatch returned %v, want the emit error", err)
+	}
+	cancel()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before RunBatch:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -13,6 +14,17 @@ func benchSpec() Spec {
 		Init: InitSpec{Kind: "twovalue", N: 20000},
 		Rule: RuleSpec{Name: "median"},
 	}}
+}
+
+// hitSpec is the serve benchmark's hit spec (median, uniform n = 5000,
+// m = 16) at a run seed, which the uniform init follows.
+func hitSpec(seed uint64) Spec {
+	spec := Spec{Payload: &MedianSpec{
+		Init: InitSpec{Kind: "uniform", N: 5000, M: 16},
+		Rule: RuleSpec{Name: "median"},
+	}}
+	spec.SetSeed(seed)
+	return spec
 }
 
 // BenchmarkBareRun is the uninstrumented baseline for BenchmarkObservedRun:
@@ -65,12 +77,7 @@ func BenchmarkSubmitCacheHit(b *testing.B) {
 // Normalize and the SHA-256 digest to the encode. Every served request
 // pays several of each across client and server.
 func BenchmarkSpecCodec(b *testing.B) {
-	spec := Spec{Payload: &MedianSpec{
-		Init: InitSpec{Kind: "uniform", N: 5000, M: 16},
-		Rule: RuleSpec{Name: "median"},
-	}}
-	spec.SetSeed(12345)
-	spec = spec.Normalize()
+	spec := hitSpec(12345).Normalize()
 	canonical, err := json.Marshal(spec)
 	if err != nil {
 		b.Fatal(err)
@@ -100,6 +107,42 @@ func BenchmarkSpecCodec(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkBatchCached times one op of the serve benchmark's batch
+// workload against a warm cache: ExpandBatch then RunBatch of the seedless
+// hit spec swept over a 16-value seed axis, every cell a cache hit. It
+// measures batch admission and fan-out, not the engine.
+func BenchmarkBatchCached(b *testing.B) {
+	s, err := New(Options{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	seeds := make([]float64, 16)
+	for i := range seeds {
+		seeds[i] = float64(1000 + i)
+	}
+	req := BatchRequest{Template: hitSpec(0), Axes: []Axis{{Param: "seed", Values: seeds}}}
+	batch := func() {
+		cells, err := s.ExpandBatch(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.RunBatch(context.Background(), cells, func(rec BatchCellRecord) error {
+			if rec.Status != StatusDone {
+				return fmt.Errorf("cell %d: %s %s", rec.Index, rec.Status, rec.Error)
+			}
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	batch() // warm the cache
+	b.ReportAllocs()
+	for b.Loop() {
+		batch()
+	}
 }
 
 // BenchmarkObservedRun runs the engine under the exact per-round

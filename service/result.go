@@ -33,9 +33,11 @@ type StoredRun = store.Run
 var ErrCancelled = engine.ErrCancelled
 
 // Execute runs a spec of any registered kind synchronously, dispatching
-// through the engine registry. observe, when non-nil, receives one
-// RoundRecord per executed round. cancelled, when non-nil, is polled once
-// per round (through the engines' shared observer hook, their per-round
+// through the engine registry. It normalizes and validates the spec first
+// (engine.Execute), so a spec that fails validation fails here with the
+// error Submit gives. observe, when non-nil, receives one RoundRecord per
+// executed round. cancelled, when non-nil, is polled once per round
+// (through the engines' shared observer hook, their per-round
 // cancellation point); returning true aborts the run with ErrCancelled.
 // Any engine panic is converted into an error so a bad spec can never take
 // down the serving process.

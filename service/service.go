@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -447,29 +446,22 @@ func (s *Service) SubmitCtx(ctx context.Context, spec Spec) (JobView, error) {
 	return view, err
 }
 
-// submit is Submit returning the job itself, for callers (the batch
-// runner) that must outlive history eviction.
+// submit is Submit returning the job itself: Spec.Admit under
+// Options.MaxN, then enqueue.
 func (s *Service) submit(spec Spec, reqID string) (*Job, JobView, error) {
-	spec = spec.Normalize()
-	if err := spec.Validate(); err != nil {
-		return nil, JobView{}, err
-	}
-	// Admission control: reject states the daemon cannot afford to
-	// materialize (size 0 = unknown kind without a Size hook; those are
-	// admitted and bounded only by the engines themselves). The charge is
-	// the spec's *materialized* size, not its population: a count-engine
-	// run over n = 10⁹ processes only holds its O(support) distribution
-	// and is admitted, while a per-process run of the same n is not.
-	if n := spec.MaterializedSize(); n > s.opts.MaxN {
-		return nil, JobView{}, fmt.Errorf("service: materialized size %d exceeds the server limit %d", n, s.opts.MaxN)
-	}
-	// The spec is already normalized, so its plain encoding is the
-	// canonical one — skip Hash()'s re-normalization on every submit.
-	canonical, err := json.Marshal(spec)
+	spec, hash, err := spec.Admit(s.opts.MaxN)
 	if err != nil {
 		return nil, JobView{}, err
 	}
-	hash := engine.HashBytes(canonical)
+	return s.enqueue(spec, hash, reqID)
+}
+
+// enqueue answers an admitted spec — normalized, validated and sized by
+// Spec.Admit, with hash its canonical hash — from an in-flight job or the
+// result cache, or queues a job for the worker pool. It returns the job
+// itself, for callers (the batch runner) that must outlive history
+// eviction.
+func (s *Service) enqueue(spec Spec, hash, reqID string) (*Job, JobView, error) {
 	now := time.Now()
 	j := &Job{
 		spec:    spec,
@@ -643,9 +635,9 @@ func (s *Service) List() []JobView {
 }
 
 // Cancel requests cancellation. Queued jobs are dropped when a worker
-// dequeues them; running jobs abort at their next observer round (engines
-// without observer support — gossip — run to completion). Terminal jobs
-// return ErrTerminal.
+// dequeues them; running jobs of every kind abort at their next observed
+// round, the engines' per-round cancellation point. Terminal jobs return
+// ErrTerminal.
 func (s *Service) Cancel(id string) (JobView, error) {
 	j, err := s.job(id)
 	if err != nil {

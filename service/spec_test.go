@@ -722,6 +722,38 @@ func TestExecuteBadEngineCombination(t *testing.T) {
 	}
 }
 
+// TestExecuteRejectsWhatSubmitRejects: Execute admits a spec as Submit
+// does (normalize and validate, with no size bound), so it returns
+// Submit's error for a spec whose engine never calls its adversary, for a
+// negative max_rounds and for an unknown rule, instead of running the
+// first two.
+func TestExecuteRejectsWhatSubmitRejects(t *testing.T) {
+	s := newTestService(t, Options{})
+	defer s.Close()
+	init := InitSpec{Kind: "twovalue", N: 1000}
+	median := RuleSpec{Name: "median"}
+	splitter := &AdversarySpec{Name: "median-splitter", Budget: adversary.BudgetSpec{Kind: "fixed", Factor: 1}}
+	for _, tc := range []struct {
+		name string
+		spec Spec
+	}{
+		{"ball engine, median-splitter", medianSpec(1, MedianSpec{Init: init, Rule: median, Engine: "ball", Adversary: splitter})},
+		{"negative max_rounds", Spec{Kind: KindMedian, Seed: 1, MaxRounds: -5, Payload: &MedianSpec{Init: init, Rule: median}}},
+		{"unknown rule", medianSpec(1, MedianSpec{Init: init, Rule: RuleSpec{Name: "warp"}})},
+	} {
+		_, submitErr := s.Submit(tc.spec)
+		res, execErr := Execute(tc.spec, nil, nil)
+		switch {
+		case submitErr == nil:
+			t.Errorf("%s: Submit accepted it", tc.name)
+		case execErr == nil:
+			t.Errorf("%s: Submit rejects it (%v), but Execute ran it: %s after %d rounds", tc.name, submitErr, res.Reason, res.Rounds)
+		case execErr.Error() != submitErr.Error():
+			t.Errorf("%s: Execute returned %q, Submit %q", tc.name, execErr, submitErr)
+		}
+	}
+}
+
 // TestTwoBinRunsTheSpecsRule: the twobin engine is the count engine on at
 // most two values, so it applies the spec's rule — a twobin spec and the
 // same spec on count return identical Results at equal seed.
