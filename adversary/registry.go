@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -25,6 +26,9 @@ type BudgetSpec struct {
 
 // Func resolves the spec to a BudgetFunc.
 func (s BudgetSpec) Func() (BudgetFunc, error) {
+	if math.IsNaN(s.Factor) || math.IsInf(s.Factor, 0) {
+		return nil, fmt.Errorf("adversary: budget factor %v is not a finite number", s.Factor)
+	}
 	if s.Factor < 0 {
 		return nil, fmt.Errorf("adversary: negative budget factor %v", s.Factor)
 	}

@@ -1,6 +1,9 @@
 package adversary
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestBudgetSpec(t *testing.T) {
 	f, err := BudgetSpec{Kind: "fixed", Factor: 5}.Func()
@@ -87,5 +90,24 @@ func TestRegistryErrors(t *testing.T) {
 	}
 	if _, err := New("reviver", budget, Params{"delay": -1}); err == nil {
 		t.Fatal("negative delay must error")
+	}
+}
+
+// TestNonFiniteRejected: a NaN or infinite budget factor or parameter is
+// an error, never a budget or a target. JSON cannot carry one, so only
+// library callers can pass it.
+func TestNonFiniteRejected(t *testing.T) {
+	params := map[string]string{"balancer": "low", "reviver": "target", "hider": "held", "flipper": "a"}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, kind := range []string{"fixed", "sqrt", "sqrtlog"} {
+			if _, err := (BudgetSpec{Kind: kind, Factor: bad}).Func(); err == nil {
+				t.Errorf("%s budget factor %v must error", kind, bad)
+			}
+		}
+		for name, key := range params {
+			if _, err := New(name, BudgetSpec{Kind: "sqrt", Factor: 1}, Params{key: bad}); err == nil {
+				t.Errorf("%s parameter %s = %v must error", name, key, bad)
+			}
+		}
 	}
 }

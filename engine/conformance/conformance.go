@@ -3,7 +3,8 @@
 // Descriptor Example, then asserts the invariants every part of the
 // service stack leans on — Normalize is idempotent, Validate accepts the
 // normalized spec, which reports a positive MaterializedSize for
-// admission, the canonical encoding round-trips byte-identically,
+// admission, and rejects it with any of its floats set to NaN or ±Inf,
+// the canonical encoding round-trips byte-identically,
 // descriptor defaults really are what omitted fields normalize to,
 // Execute of the tiny example observes at least one round, is
 // deterministic, and honors mid-run cancellation — and the run's outcome
@@ -20,6 +21,7 @@ package conformance
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strconv"
 	"testing"
@@ -84,6 +86,7 @@ func RunKind(t *testing.T, kind string) {
 	}
 
 	checkDefaults(t, d, spec, norm)
+	checkNonFinite(t, spec)
 	res, recs := checkExecution(t, spec)
 	checkInstrumented(t, spec, res, recs)
 	checkPersistence(t, norm, res, recs)
@@ -199,6 +202,64 @@ func defaultMatches(p engine.Param, got json.RawMessage) bool {
 	default:
 		// Composite types render their default as raw JSON.
 		return string(got) == p.Default
+	}
+}
+
+// checkNonFinite sets each float reachable from the normalized example in
+// turn to NaN, +Inf and -Inf, and requires Validate to reject the spec.
+// The canonical encoding cannot carry such a value, so Admit fails on it;
+// Validate must fail too, or Execute runs a spec the service refuses.
+func checkNonFinite(t *testing.T, spec engine.Spec) {
+	t.Helper()
+	var paths []string
+	eachFloat(reflect.ValueOf(spec.Normalize().Payload), "", func(path string, _ func(float64)) {
+		paths = append(paths, path)
+	})
+	for _, path := range paths {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			s := spec.Normalize()
+			eachFloat(reflect.ValueOf(s.Payload), "", func(p string, set func(float64)) {
+				if p == path {
+					set(bad)
+				}
+			})
+			if err := s.Validate(); err == nil {
+				t.Errorf("Validate accepts %s = %v", path, bad)
+			}
+		}
+	}
+}
+
+// eachFloat calls fn with the path and a setter of each float64 reachable
+// from v through exported struct fields, non-nil pointers and interfaces,
+// slice elements and map values.
+func eachFloat(v reflect.Value, path string, fn func(path string, set func(float64))) {
+	switch v.Kind() {
+	case reflect.Float64:
+		fn(path, v.SetFloat)
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			eachFloat(v.Elem(), path, fn)
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if f := v.Type().Field(i); f.IsExported() {
+				eachFloat(v.Field(i), path+"."+f.Name, fn)
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		for i := range v.Len() {
+			eachFloat(v.Index(i), path+"["+strconv.Itoa(i)+"]", fn)
+		}
+	case reflect.Map:
+		if v.Type().Elem().Kind() != reflect.Float64 {
+			return
+		}
+		for _, k := range v.MapKeys() {
+			fn(path+"["+k.String()+"]", func(f float64) {
+				v.SetMapIndex(k, reflect.ValueOf(f).Convert(v.Type().Elem()))
+			})
+		}
 	}
 }
 

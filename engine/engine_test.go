@@ -348,3 +348,30 @@ func TestExecuteObservesAndCancels(t *testing.T) {
 		t.Fatalf("cancelled run returned %v", err)
 	}
 }
+
+// TestRecordUnmarshalJSON: Record's decoder, called directly as the
+// client calls it on each streamed line, agrees with encoding/json
+// decoding into a Record without it: on the lines the encoder writes and
+// on lines it never writes, well-formed or not.
+func TestRecordUnmarshalJSON(t *testing.T) {
+	type plain engine.Record
+	for _, line := range []string{
+		`{"round":3,"n":5000,"support":16,"leader":7,"leader_count":812}`,
+		`{"round":1,"n":24,"support":2,"leader":0,"leader_count":12,"absorbed":0.25}`,
+		`{"round":0,"n":64,"support":4,"leader":0,"leader_count":20,"leader_point":[1,2]}`,
+		` { "round" : 2 , "N" : 5 , "leader" : -3 } `,
+		`{"round":1,"round":2,"absorbed":1e-7,"n":null}`,
+		`{"round":4}`, `{}`, `null`,
+		`{"round":1.5}`, `{"round":"1"}`, `{"n":9223372036854775808}`, `{"absorbed":1e400}`,
+		`{"round":01}`, `{"round":1,}`, `{"round":1} x`, `[1]`, `{"round":1`, `{"absorbed":-}`, `{"absorbed":.5}`,
+	} {
+		var got engine.Record
+		var want plain
+		gotErr, wantErr := got.UnmarshalJSON([]byte(line)), json.Unmarshal([]byte(line), &want)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Errorf("%s: got error %v, encoding/json %v", line, gotErr, wantErr)
+		} else if gotErr == nil && !reflect.DeepEqual(got, engine.Record(want)) {
+			t.Errorf("%s: got %+v, encoding/json %+v", line, got, want)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -120,6 +121,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.AlmostSlack < 0 || s.Window < 0 {
 		return fmt.Errorf("gossip: negative almost_slack or window")
+	}
+	if math.IsNaN(s.CapFactor) || math.IsInf(s.CapFactor, 0) {
+		return fmt.Errorf("gossip: cap_factor %v is not a finite number", s.CapFactor)
 	}
 	return nil
 }

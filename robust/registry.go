@@ -46,7 +46,7 @@ func Check(n int, opts Options) error {
 	if n <= 0 {
 		return fmt.Errorf("robust: population must be positive, got %d", n)
 	}
-	if opts.LossProb < 0 || opts.LossProb > 1 {
+	if !(opts.LossProb >= 0 && opts.LossProb <= 1) { // NaN fails both
 		return fmt.Errorf("robust: LossProb %v outside [0,1]", opts.LossProb)
 	}
 	if opts.Crashes < 0 || opts.Crashes >= n {

@@ -51,7 +51,7 @@ func (s *Spec) Validate() error {
 			LossProb: s.LossProb, Crashes: s.Crashes, Silent: silent,
 		})
 	}
-	if s.LossProb < 0 || s.LossProb > 1 {
+	if !(s.LossProb >= 0 && s.LossProb <= 1) { // NaN fails both
 		return fmt.Errorf("robust: LossProb %v outside [0,1]", s.LossProb)
 	}
 	if s.Crashes < 0 {

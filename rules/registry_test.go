@@ -1,6 +1,9 @@
 package rules
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestRegistryNames(t *testing.T) {
 	want := []string{"kmedian", "majority", "maximum", "mean", "median", "minimum", "voter"}
@@ -52,5 +55,15 @@ func TestRegistryErrors(t *testing.T) {
 	}
 	if _, err := New("kmedian", Params{"q": 1}); err == nil {
 		t.Fatal("kmedian unknown parameter must error")
+	}
+}
+
+// TestNonFiniteParamsRejected: a NaN or infinite rule parameter is an
+// error, never a rule.
+func TestNonFiniteParamsRejected(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := New("kmedian", Params{"k": bad}); err == nil {
+			t.Errorf("kmedian k = %v must error", bad)
+		}
 	}
 }

@@ -192,7 +192,7 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(service.RoundRec
 			continue
 		}
 		var rec service.RoundRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
+		if err := rec.UnmarshalJSON(line); err != nil {
 			return fmt.Errorf("bad stream line: %w", err)
 		}
 		if err := fn(rec); err != nil {

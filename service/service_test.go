@@ -816,6 +816,20 @@ func TestSubmitInvalidSpec(t *testing.T) {
 	}
 }
 
+// TestSubmitLeavesPayloadAlone: a payload admission cannot copy (its NaN
+// has no JSON encoding) is rejected without being normalized in place.
+func TestSubmitLeavesPayloadAlone(t *testing.T) {
+	s := newTestService(t, Options{Workers: 1})
+	defer s.Close()
+	p := &RobustSpec{Init: InitSpec{Kind: "twovalue", N: 48}, LossProb: math.NaN()}
+	if _, err := s.Submit(Spec{Seed: 1, Kind: "robust", Payload: p}); err == nil {
+		t.Fatal("a NaN loss_prob must be rejected")
+	}
+	if p.Mode != "" {
+		t.Fatalf("Submit rewrote the caller's payload: mode %q", p.Mode)
+	}
+}
+
 // TestFinishedJobsShareTheirEntry: every done job for a spec — the run
 // itself, a cache hit, and the job reloaded from the store after a
 // restart — serves its stream from the one cache entry's packed records

@@ -175,3 +175,87 @@ func assertNoTempFiles(t *testing.T, dir string) {
 		t.Fatalf("compaction leaked temp files: %v", matches)
 	}
 }
+
+// TestAppendFailureCostsOnlyItsRecord: a write that fails halfway through
+// its frame, or an fsync that fails, costs only the record being appended.
+// Every record whose Append returned nil, the next one included, survives
+// a reopen, and the reopen finds nothing to drop.
+func TestAppendFailureCostsOnlyItsRecord(t *testing.T) {
+	injected := errors.New("injected append failure")
+	for _, tc := range []struct {
+		name   string
+		inject func()
+	}{
+		{"short write", func() {
+			writeFile = func(f *os.File, b []byte) (int, error) {
+				n, _ := f.Write(b[:len(b)/2])
+				return n, injected
+			}
+		}},
+		{"fsync", func() { fsyncFile = func(*os.File) error { return injected } }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func(w func(*os.File, []byte) (int, error), s func(*os.File) error) {
+				writeFile, fsyncFile = w, s
+			}(writeFile, fsyncFile)
+			path := filepath.Join(t.TempDir(), "append.store")
+			l, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, lost, last := testRun(t, 0), testRun(t, 1), testRun(t, 2)
+			if err := l.Append(first); err != nil {
+				t.Fatal(err)
+			}
+			w, s := writeFile, fsyncFile
+			tc.inject()
+			err = l.Append(lost)
+			writeFile, fsyncFile = w, s
+			if !errors.Is(err, injected) {
+				t.Fatalf("want the injected error, got %v", err)
+			}
+			if err := l.Append(last); err != nil {
+				t.Fatalf("append after a failed one: %v", err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			l, err = Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			runs := loadAll(t, l)
+			if len(runs) != 2 || runs[0].SpecHash != first.SpecHash || runs[1].SpecHash != last.SpecHash {
+				t.Fatalf("reload returned %d runs; want the 2 whose Append returned nil", len(runs))
+			}
+			if st := l.Stats(); st.RecordsDropped != 0 || st.Compactions != 0 {
+				t.Fatalf("reopen found a torn frame: %+v", st)
+			}
+		})
+	}
+}
+
+// TestAppendRefusedAfterFailedUndo: when the file cannot be cut back after
+// a failed append, later appends are refused rather than written behind
+// the torn frame.
+func TestAppendRefusedAfterFailedUndo(t *testing.T) {
+	defer func(w func(*os.File, []byte) (int, error)) { writeFile = w }(writeFile)
+	l, err := Open(filepath.Join(t.TempDir(), "broken.store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	injected := errors.New("injected write failure")
+	writeFile = func(f *os.File, _ []byte) (int, error) {
+		f.Close() // so the truncate that would undo the write fails too
+		return 0, injected
+	}
+	if err := l.Append(testRun(t, 0)); !errors.Is(err, injected) {
+		t.Fatalf("want the injected error, got %v", err)
+	}
+	writeFile = func(f *os.File, b []byte) (int, error) { return f.Write(b) }
+	if err := l.Append(testRun(t, 1)); err == nil || !strings.Contains(err.Error(), "could not be cut off") {
+		t.Fatalf("append on a log with a torn tail: got %v, want a refusal", err)
+	}
+}

@@ -2,11 +2,23 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
+
+	"repro/engine"
+
+	// Every kind's Example seeds FuzzDecodeRun.
+	_ "repro/internal/exact"
+	_ "repro/internal/gossip"
+	_ "repro/multidim"
+	_ "repro/robust"
 )
 
 // FuzzOpen feeds arbitrary bytes to Open as the framed region of a store
@@ -69,28 +81,48 @@ func FuzzOpen(f *testing.F) {
 	})
 }
 
-// FuzzDecodeRun: arbitrary payloads must never panic the codec, and any
-// payload that decodes must re-encode to a byte-stable form.
+// FuzzDecodeRun checks DecodeRun against refDecodeRun, encoding/json into
+// method-free mirrors of Run, engine.Result and engine.Record: on any
+// payload both fail or both succeed, agree on whether the failure is
+// engine.ErrSpecVersion, and otherwise return deeply equal runs. A payload
+// that decodes must also re-encode to a byte-stable form.
 func FuzzDecodeRun(f *testing.F) {
-	for i := 0; i < 3; i++ {
-		run, err := makeRun(i)
-		if err != nil {
-			f.Fatal(err)
-		}
-		payload, err := EncodeRun(run)
-		if err != nil {
-			f.Fatal(err)
-		}
+	checkRefRun(f)
+	for _, payload := range seedPayloads(f) {
 		f.Add(payload)
 	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"spec_hash":"x","spec":{"kind":"nope"}}`))
 	f.Add([]byte(`null`))
+	const spec = `"spec":{"kind":"exact","n":24,"start":6,"v":1}`
+	for _, s := range []string{
+		// Repeated members: a result merges, records go element by element.
+		`{` + spec + `,"result":{"rounds":2,"timing":{"run_seconds":1}},"result":{"winner":3,"timing":{"total_seconds":2}}}`,
+		`{` + spec + `,"records":[{"n":5,"leader":2}],"records":[{"round":2}]}`,
+		`{` + spec + `,"id":"a","ID":"b","records":[],"truncated":-1}`,
+		// A bad record before a spec under another version.
+		`{"records":[{"n":"x"}],"spec":{"kind":"exact","n":24,"start":6,"v":2}}`,
+		`{` + spec + `,"records":[null,{},{"leader_point":[1,2]}],"created":"2026-01-02T03:04:05+01:00"}`,
+		`{` + spec + `,"result":{"parallel_time":1e400,"seed":18446744073709551615}}`,
+		`{` + spec + `,"spec_hash":"a","request_id":"<>","result":{"timing":null}}`,
+	} {
+		f.Add([]byte(s))
+	}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		run, err := DecodeRun(payload)
+		want, wantErr := refDecodeRun(payload)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("decode of %q: got error %v, reference %v", payload, err, wantErr)
+		}
+		if errors.Is(err, engine.ErrSpecVersion) != errors.Is(wantErr, engine.ErrSpecVersion) {
+			t.Fatalf("decode of %q: ErrSpecVersion disagrees: got %v, reference %v", payload, err, wantErr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(run, want) {
+			t.Fatalf("decode of %q:\n got       %+v\n reference %+v", payload, run, want)
 		}
 		buf, err := EncodeRun(run)
 		if err != nil {
@@ -108,6 +140,126 @@ func FuzzDecodeRun(f *testing.F) {
 			t.Fatalf("codec not byte-stable:\n first  %s\n second %s", buf, again)
 		}
 	})
+}
+
+// refRun, refResult and refRecord mirror Run, engine.Result and
+// engine.Record with no methods: encoding/json decoding a frame into them
+// is how DecodeRun decoded every frame before its one-pass decoder, and
+// FuzzDecodeRun's reference.
+type refRun struct {
+	ID        string      `json:"id,omitempty"`
+	SpecHash  string      `json:"spec_hash"`
+	RequestID string      `json:"request_id,omitempty"`
+	Spec      engine.Spec `json:"spec"`
+	Result    refResult   `json:"result"`
+	Records   []refRecord `json:"records,omitempty"`
+	Truncated int         `json:"truncated,omitempty"`
+	Created   time.Time   `json:"created"`
+	Started   time.Time   `json:"started"`
+	Finished  time.Time   `json:"finished"`
+}
+
+type (
+	refResult engine.Result
+	refRecord engine.Record
+)
+
+// checkRefRun fails if refRun no longer mirrors Run member for member.
+func checkRefRun(tb testing.TB) {
+	run, ref := reflect.TypeFor[Run](), reflect.TypeFor[refRun]()
+	if run.NumField() != ref.NumField() {
+		tb.Fatalf("refRun has %d fields, Run %d", ref.NumField(), run.NumField())
+	}
+	for i := range run.NumField() {
+		if a, b := run.Field(i), ref.Field(i); a.Name != b.Name || a.Tag != b.Tag {
+			tb.Fatalf("refRun field %d is %s %q, Run's is %s %q", i, b.Name, b.Tag, a.Name, a.Tag)
+		}
+	}
+}
+
+func refDecodeRun(payload []byte) (Run, error) {
+	var ref refRun
+	if err := json.Unmarshal(payload, &ref); err != nil {
+		return Run{}, err
+	}
+	if ref.Spec.V != engine.SpecVersion {
+		return Run{}, fmt.Errorf("%w: persisted spec has v%d", engine.ErrSpecVersion, ref.Spec.V)
+	}
+	r := Run{
+		ID: ref.ID, SpecHash: ref.SpecHash, RequestID: ref.RequestID, Spec: ref.Spec,
+		Result: engine.Result(ref.Result), Truncated: ref.Truncated,
+		Created: ref.Created, Started: ref.Started, Finished: ref.Finished,
+	}
+	if ref.Records != nil {
+		r.Records = make([]engine.Record, len(ref.Records))
+		for i, rec := range ref.Records {
+			r.Records[i] = engine.Record(rec)
+		}
+	}
+	return r, nil
+}
+
+// seedPayloads returns FuzzDecodeRun's seed frames: makeRun's runs,
+// every frame of the golden store files, and one run of each registered
+// kind's Example, with its result, records and timing.
+func seedPayloads(tb testing.TB) [][]byte {
+	var out [][]byte
+	for i := 0; i < 3; i++ {
+		run, err := makeRun(i)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		payload, err := EncodeRun(run)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, payload)
+	}
+	for _, name := range []string{"store_format_v1.golden", "store_specv0.golden"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for rest := data[headerSize:]; len(rest) > 0; {
+			n := frameHeaderSize + int(binary.LittleEndian.Uint32(rest))
+			if len(rest) < n {
+				tb.Fatalf("%s: truncated frame", name)
+			}
+			out = append(out, rest[frameHeaderSize:n])
+			rest = rest[n:]
+		}
+	}
+	base := time.Date(2026, 1, 2, 3, 4, 5, 600, time.UTC)
+	for i, d := range engine.Descriptors() {
+		var spec engine.Spec
+		raw := append([]byte(`{"kind":"`+d.Kind+`","seed":7,`), d.Example[1:]...)
+		if err := json.Unmarshal(raw, &spec); err != nil {
+			tb.Fatalf("%s example: %v", d.Kind, err)
+		}
+		spec, hash, err := spec.Admit(0)
+		if err != nil {
+			tb.Fatalf("%s example: %v", d.Kind, err)
+		}
+		var recs []engine.Record
+		res, err := engine.Execute(spec, func(rec engine.Record) { recs = append(recs, rec) }, nil)
+		if err != nil {
+			tb.Fatalf("%s example: %v", d.Kind, err)
+		}
+		res.Timing = &engine.RunTiming{
+			QueueWaitSeconds: 1.5e-5, RunSeconds: 0.000731, TotalSeconds: 0.0012,
+			RecordsEmitted: len(recs), RoundsPerSec: float64(res.Rounds) / 0.000731,
+		}
+		payload, err := EncodeRun(Run{
+			ID: fmt.Sprintf("r-%d", i+1), SpecHash: hash, RequestID: "req-" + d.Kind,
+			Spec: spec, Result: res, Records: recs, Truncated: i,
+			Created: base, Started: base.Add(time.Millisecond), Finished: base.Add(time.Second),
+		})
+		if err != nil {
+			tb.Fatalf("%s example: %v", d.Kind, err)
+		}
+		out = append(out, payload)
+	}
+	return out
 }
 
 // FuzzFrameRoundTrip: any payload framed and scanned comes back intact.

@@ -130,23 +130,6 @@ type Run struct {
 // byte-identical.
 func EncodeRun(r Run) ([]byte, error) { return json.Marshal(r) }
 
-// DecodeRun parses a frame payload. The spec's kind must be registered
-// and its canonical encoding must carry the current engine.SpecVersion —
-// a record persisted under a different spec codec must never be
-// reinterpreted (or served) under this binary's keys; recovery preserves
-// such frames opaquely instead (errors.Is(err, engine.ErrSpecVersion)).
-func DecodeRun(payload []byte) (Run, error) {
-	var r Run
-	if err := json.Unmarshal(payload, &r); err != nil {
-		return Run{}, err
-	}
-	if r.Spec.V != engine.SpecVersion {
-		return Run{}, fmt.Errorf("%w: persisted spec has v%d, this binary speaks v%d",
-			engine.ErrSpecVersion, r.Spec.V, engine.SpecVersion)
-	}
-	return r, nil
-}
-
 // Stats reports a log's lifetime counters, surfaced on /v1/metrics.
 type Stats struct {
 	// RecordsLoaded is the number of records the last Open recovered;
@@ -233,6 +216,10 @@ type Log struct {
 	pol    Policy
 	stats  Stats
 	loaded []Run
+
+	// broken is why a failed append could not be cut back off the file;
+	// once set, Append refuses to write behind the torn frame.
+	broken error
 
 	// live maps each decodable record's spec hash to its current frame
 	// size; opaqueBytes totals the preserved frames without a usable
@@ -395,6 +382,9 @@ type frameRec struct {
 func scanReader(r io.Reader) (frames []frameRec, dropped int64, dirty bool, err error) {
 	index := map[string]int{}
 	hdr := make([]byte, frameHeaderSize)
+	// One buffer holds each payload in turn: a decoded Run shares no
+	// memory with its payload, and an opaque frame keeps a copy.
+	var buf []byte
 	for {
 		if _, e := io.ReadFull(r, hdr); e != nil {
 			switch e {
@@ -411,7 +401,10 @@ func scanReader(r io.Reader) (frames []frameRec, dropped int64, dirty bool, err 
 		if length > maxPayload {
 			return frames, dropped + 1, true, nil
 		}
-		payload := make([]byte, length)
+		if int(length) > cap(buf) {
+			buf = make([]byte, length)
+		}
+		payload := buf[:length]
 		if _, e := io.ReadFull(r, payload); e != nil {
 			if e == io.EOF || e == io.ErrUnexpectedEOF { // truncated payload
 				return frames, dropped + 1, true, nil
@@ -433,7 +426,7 @@ func scanReader(r io.Reader) (frames []frameRec, dropped int64, dirty bool, err 
 			// loaded. Compaction must never destroy intact data a fuller
 			// (or differently-versioned) binary could still read.
 			frames = append(frames, frameRec{
-				payload: payload,
+				payload: bytes.Clone(payload),
 				oldSpec: errors.Is(e, engine.ErrSpecVersion),
 				size:    size,
 			})
@@ -511,15 +504,16 @@ func scan(data []byte) ([]Run, int64, bool) {
 	return runs, dropped, dirty
 }
 
-// renameFile and fsyncFile are indirection points so tests can inject
-// rename/sync failures into compact's error paths; production code never
-// overrides them. testHookAfterRename, when set, runs in the instant after
-// the compacted file is renamed into place and before compact returns —
-// the window in which a pre-fix compact left the store path naming an
-// unlocked inode.
+// renameFile, fsyncFile and writeFile are indirection points so tests can
+// inject rename, sync and write failures into compact's and Append's error
+// paths; production code never overrides them. testHookAfterRename, when
+// set, runs in the instant after the compacted file is renamed into place
+// and before compact returns — the window in which a pre-fix compact left
+// the store path naming an unlocked inode.
 var (
 	renameFile          = os.Rename
 	fsyncFile           = func(f *os.File) error { return f.Sync() }
+	writeFile           = func(f *os.File, b []byte) (int, error) { return f.Write(b) }
 	testHookAfterRename func()
 )
 
@@ -595,6 +589,7 @@ func (l *Log) compact(frames []frameRec) error {
 	syncDir(dir)
 	l.f.Close()
 	l.f = tmp
+	l.broken = nil // the new file holds whole frames only
 	l.stats.Bytes = size
 	l.live = live
 	l.opaqueBytes = opaque
@@ -657,7 +652,9 @@ func (l *Log) Load(apply func(Run) error) error {
 
 // Append commits one record: a single frame write followed by an fsync,
 // so a record either survives a crash whole or is dropped by the next
-// Open's tail recovery.
+// Open's tail recovery. A failed write or fsync costs only its own record:
+// the file is cut back to where the record began, so the next append does
+// not land behind a torn frame that recovery would stop at.
 func (l *Log) Append(r Run) error {
 	payload, err := EncodeRun(r)
 	if err != nil {
@@ -674,6 +671,9 @@ func (l *Log) Append(r Run) error {
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return ErrClosed
+	}
+	if l.broken != nil {
+		return fmt.Errorf("store: appends stopped, a failed append could not be cut off the file: %w", l.broken)
 	}
 	if err := l.writeAndSync(buf); err != nil {
 		return err
@@ -827,13 +827,23 @@ func (l *Log) OnDrop(fn func([]string)) {
 	l.mu.Unlock()
 }
 
-// writeAndSync writes buf and fsyncs; callers hold l.mu (or own l
-// exclusively during Open).
+// writeAndSync writes buf at the end of the file and fsyncs. If either
+// fails, it truncates the file back to its last good size, l.stats.Bytes,
+// and seeks to the end; if that fails too, the log is broken and refuses
+// further appends. Callers hold l.mu (or own l exclusively during Open).
 func (l *Log) writeAndSync(buf []byte) error {
-	if _, err := l.f.Write(buf); err != nil {
-		return err
+	_, err := writeFile(l.f, buf)
+	if err == nil {
+		err = fsyncFile(l.f)
 	}
-	return l.f.Sync()
+	if err != nil {
+		if terr := l.f.Truncate(l.stats.Bytes); terr != nil {
+			l.broken = terr
+		} else if _, serr := l.f.Seek(0, io.SeekEnd); serr != nil {
+			l.broken = serr
+		}
+	}
+	return err
 }
 
 // Stats returns the log's counters.
