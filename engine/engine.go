@@ -22,7 +22,6 @@
 package engine
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 )
@@ -50,38 +49,6 @@ type Record struct {
 	// that the chain has reached consensus (been absorbed) by this round —
 	// the absorption CDF at Round. Simulation kinds leave it zero.
 	Absorbed float64 `json:"absorbed,omitempty"`
-}
-
-// UnmarshalJSON decodes a record as encoding/json decodes it into a Record
-// without this method. The scalar members, as the encoder writes them, are
-// parsed in one pass over data; any other record, such as one with a
-// leader_point or a key spelled another way, goes through encoding/json.
-// The store reloads every persisted record through this decoder, and the
-// client every streamed one.
-func (r *Record) UnmarshalJSON(data []byte) error {
-	rec := *r
-	if EachMember(data, func(key, value []byte) bool {
-		switch string(key) {
-		case "round":
-			return DecodeInt(value, &rec.Round) == nil
-		case "n":
-			return DecodeInt(value, &rec.N) == nil
-		case "support":
-			return DecodeInt(value, &rec.Support) == nil
-		case "leader":
-			return DecodeInt(value, &rec.Leader) == nil
-		case "leader_count":
-			return DecodeInt(value, &rec.LeaderCount) == nil
-		case "absorbed":
-			return DecodeFloat(value, &rec.Absorbed) == nil
-		}
-		return false
-	}) {
-		*r = rec
-		return nil
-	}
-	type plain Record
-	return json.Unmarshal(data, (*plain)(r))
 }
 
 // Result is the serializable outcome of a run of any kind, plus the

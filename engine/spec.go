@@ -124,7 +124,7 @@ func (s Spec) MarshalJSON() ([]byte, error) {
 func (s Spec) appendEnvelopeField(out []byte, i int) []byte {
 	switch name := envelopeFields[i]; {
 	case name == "kind" && s.Kind != "":
-		return appendString(appendKey(out, name), s.Kind)
+		return AppendString(appendKey(out, name), s.Kind)
 	case name == "max_rounds" && s.MaxRounds != 0:
 		return strconv.AppendInt(appendKey(out, name), int64(s.MaxRounds), 10)
 	case name == "seed" && s.Seed != 0:
@@ -213,11 +213,7 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 func (s *Spec) setEnvelopeField(i int, value []byte) error {
 	switch envelopeFields[i] {
 	case "kind":
-		if PlainString(value) {
-			s.Kind = string(value[1 : len(value)-1])
-			return nil
-		}
-		return json.Unmarshal(value, &s.Kind)
+		return DecodeString(value, &s.Kind)
 	case "max_rounds":
 		return DecodeInt(value, &s.MaxRounds)
 	case "seed":
@@ -539,16 +535,6 @@ func unmarshalInto[T any](value []byte, dst *T) error {
 	err := json.Unmarshal(value, &v)
 	*dst = v
 	return err
-}
-
-// appendString appends str as a JSON string, spelled as encoding/json
-// spells it.
-func appendString(out []byte, str string) []byte {
-	if plainText(str) {
-		return append(append(append(out, '"'), str...), '"')
-	}
-	buf, _ := json.Marshal(str)
-	return append(out, buf...)
 }
 
 // appendKey starts the member named key of the object being written in

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/engine"
@@ -90,7 +91,38 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	if out == nil {
 		return nil
 	}
+	if u, ok := out.(json.Unmarshaler); ok {
+		// A view decodes in one call on the whole body: its decoder does
+		// not need encoding/json's scan of the value first.
+		buf := buffers.Get().(*[]byte)
+		defer buffers.Put(buf)
+		body := bytes.NewBuffer(*buf)
+		if _, err := body.ReadFrom(resp.Body); err != nil {
+			return err
+		}
+		return u.UnmarshalJSON(body.Bytes())
+	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// buffers holds the buffers that response bodies and NDJSON lines are
+// read into, each empty with bufio's default size as its capacity. The
+// decoders copy what they keep, so a buffer goes back as soon as its
+// reader is done. A body or line too long for one is read into a buffer
+// of its own, which is never pooled.
+var buffers = sync.Pool{New: func() any {
+	buf := make([]byte, 0, 4096)
+	return &buf
+}}
+
+// newScanner returns a scanner over r that accepts lines up to max bytes,
+// starting from a pooled buffer, and the function that returns that
+// buffer to the pool once the scanner is done.
+func newScanner(r io.Reader, max int) (*bufio.Scanner, func()) {
+	buf := buffers.Get().(*[]byte)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(*buf, max)
+	return sc, func() { buffers.Put(buf) }
 }
 
 // newRequest builds a request against the server, attaching the bearer
@@ -184,8 +216,8 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(service.RoundRec
 	if resp.StatusCode/100 != 2 {
 		return decodeError(resp)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(nil, maxStreamLine)
+	sc, release := newScanner(resp.Body, maxStreamLine)
+	defer release()
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -225,8 +257,8 @@ func (c *Client) Events(ctx context.Context, replay int, fn func(obs.Event) erro
 	if resp.StatusCode/100 != 2 {
 		return decodeError(resp)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(nil, maxStreamLine)
+	sc, release := newScanner(resp.Body, maxStreamLine)
+	defer release()
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -264,8 +296,8 @@ func (c *Client) Batch(ctx context.Context, breq service.BatchRequest, fn func(s
 	if resp.StatusCode/100 != 2 {
 		return decodeError(resp)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(nil, maxBatchLine)
+	sc, release := newScanner(resp.Body, maxBatchLine)
+	defer release()
 	got := 0
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())

@@ -6,8 +6,11 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/obs"
 	"repro/service"
@@ -63,4 +66,72 @@ func TestLineLimits(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestConcurrentCallsShareNoBuffer: calls running at once on one client
+// each decode what the server sent them, although their bodies and lines
+// are read into buffers the calls pass to one another through a pool.
+func TestConcurrentCallsShareNoBuffer(t *testing.T) {
+	s, err := service.New(service.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	c := New(srv.URL)
+	ctx := context.Background()
+
+	type run struct {
+		view service.JobView
+		recs []service.RoundRecord
+	}
+	stream := func(id string) ([]service.RoundRecord, error) {
+		var recs []service.RoundRecord
+		err := c.Stream(ctx, id, func(rec service.RoundRecord) error {
+			recs = append(recs, rec)
+			return nil
+		})
+		return recs, err
+	}
+	var runs []run
+	for seed := uint64(1); seed <= 4; seed++ {
+		v, err := c.Submit(ctx, service.Spec{Seed: seed, Payload: &service.MedianSpec{
+			Init: service.InitSpec{Kind: "uniform", N: 500 * int(seed), M: 8},
+			Rule: service.RuleSpec{Name: "median"},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err = c.Wait(ctx, v.ID, time.Millisecond); err != nil || v.Status != service.StatusDone {
+			t.Fatalf("run %d: %+v, %v", seed, v, err)
+		}
+		recs, err := stream(v.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, run{v, recs})
+	}
+
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 40 {
+				want := runs[(g+i)%len(runs)]
+				v, err := c.Get(ctx, want.view.ID)
+				if err != nil || !reflect.DeepEqual(v, want.view) {
+					t.Errorf("get %s: %+v, %v; want %+v", want.view.ID, v, err, want.view)
+					return
+				}
+				recs, err := stream(want.view.ID)
+				if err != nil || !reflect.DeepEqual(recs, want.recs) {
+					t.Errorf("stream %s: %d records, %v; want %d", want.view.ID, len(recs), err, len(want.recs))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

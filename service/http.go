@@ -42,9 +42,10 @@ import (
 //	                            appended, bytes, compactions)
 //
 // Every response carries an X-Request-Id header — propagated from the
-// request's own X-Request-Id when present, generated otherwise — and the
-// same id is recorded on submitted jobs, their events and the structured
-// access log (Options.Logger).
+// request's own X-Request-Id when that is 1 to 128 bytes of
+// [A-Za-z0-9._:-], generated otherwise — and the same id is recorded on
+// submitted jobs, their events and the structured access log
+// (Options.Logger).
 //
 // Errors are returned as {"error": "..."} with conventional status codes
 // (400 invalid spec, 401 missing/bad bearer token on mutating endpoints
@@ -77,7 +78,7 @@ func (s *Service) Handler() http.Handler {
 func (s *Service) instrument(mux *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		reqID := r.Header.Get("X-Request-Id")
-		if reqID == "" {
+		if !validRequestID(reqID) {
 			reqID = obs.NewRequestID()
 		}
 		w.Header().Set("X-Request-Id", reqID)
@@ -101,6 +102,29 @@ func (s *Service) instrument(mux *http.ServeMux) http.Handler {
 			"path", r.URL.Path, "status", status,
 			"duration_ms", float64(elapsed.Microseconds())/1000, "request_id", reqID)
 	})
+}
+
+// maxRequestID bounds a propagated X-Request-Id. The id is outside input
+// that a job keeps, publishes on each of its events and persists with its
+// run, so a longer one, or one holding other bytes than
+// validRequestID's, is replaced by a generated id.
+const maxRequestID = 128
+
+// validRequestID reports whether id may be propagated: 1 to maxRequestID
+// bytes of ASCII letters, digits, '.', '_', ':' and '-'.
+func validRequestID(id string) bool {
+	if len(id) == 0 || len(id) > maxRequestID {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9',
+			c == '.', c == '_', c == ':', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // statusWriter captures the response status for the access log and the
@@ -239,7 +263,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, submitStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, view)
+	writeView(w, http.StatusAccepted, &view)
 }
 
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -367,7 +391,7 @@ func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	writeView(w, http.StatusOK, &view)
 }
 
 func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -378,7 +402,7 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrTerminal):
 		writeError(w, http.StatusConflict, err)
 	default:
-		writeJSON(w, http.StatusOK, view)
+		writeView(w, http.StatusOK, &view)
 	}
 }
 
@@ -393,16 +417,28 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	buf := getBuffer()
+	defer putBuffer(buf)
 	next := 0
 	for {
 		recs, terminal, notify := j.recordsFrom(next)
-		for _, rec := range recs {
-			if err := enc.Encode(rec); err != nil {
+		// The lines go out in one write, or in one per streamChunk for a
+		// long run. A record that does not encode ends the stream after
+		// the lines before it, as a failed json.Encoder write would.
+		var err error
+		for rec := range recs {
+			if *buf, err = rec.AppendJSON(*buf); err != nil {
+				break
+			}
+			*buf = append(*buf, '\n')
+			next++
+			if len(*buf) >= streamChunk && !writeAll(w, buf) {
 				return
 			}
 		}
-		next += len(recs)
+		if !writeAll(w, buf) || err != nil {
+			return
+		}
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -415,6 +451,21 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// streamChunk is the size from which handleStream writes the lines it
+// has encoded before it encodes more.
+const streamChunk = 32 << 10
+
+// writeAll writes buf's bytes, if any, and empties it. It reports whether
+// the write succeeded.
+func writeAll(w io.Writer, buf *[]byte) bool {
+	if len(*buf) == 0 {
+		return true
+	}
+	_, err := w.Write(*buf)
+	*buf = (*buf)[:0]
+	return err == nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/obs"
@@ -108,6 +110,67 @@ func BenchmarkSpecCodec(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkViewCodec times the view codec on what the serve benchmark's
+// hit workload sends: a done cache-hit view of its prep run (median,
+// uniform n = 5000, m = 16, with timing and a generated request id),
+// encoded and decoded, and that job's stream written by the handler, 15
+// NDJSON lines from its packed records.
+func BenchmarkViewCodec(b *testing.B) {
+	s, err := New(Options{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	ctx := obs.WithRequestID(context.Background(), "5c0ffee15bad1dea")
+	first, err := s.SubmitCtx(ctx, hitSpec(4243))
+	if err != nil {
+		b.Fatal(err)
+	}
+	waitDone(b, s, first.ID)
+	view, err := s.SubmitCtx(ctx, hitSpec(4243))
+	if err != nil || !view.CacheHit || view.Records != 15 {
+		b.Fatalf("want a cache hit with 15 records: %+v, %v", view, err)
+	}
+	data, err := view.AppendJSON(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		buf := data[:0]
+		for b.Loop() {
+			if buf, err = view.AppendJSON(buf[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			var v JobView
+			if err := v.UnmarshalJSON(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("stream", func(b *testing.B) {
+		req := httptest.NewRequest(http.MethodGet, "/v1/runs/"+view.ID+"/stream", nil)
+		req.SetPathValue("id", view.ID)
+		w := &discardWriter{header: http.Header{}}
+		b.ReportAllocs()
+		for b.Loop() {
+			s.handleStream(w, req)
+		}
+	})
+}
+
+// discardWriter is a ResponseWriter that drops the body.
+type discardWriter struct{ header http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(int)             {}
 
 // BenchmarkBatchCached times one op of the serve benchmark's batch
 // workload against a warm cache: ExpandBatch then RunBatch of the seedless

@@ -229,6 +229,50 @@ func TestRequestIDMiddleware(t *testing.T) {
 	if got := resp2.Header.Get("X-Request-Id"); len(got) != 16 {
 		t.Fatalf("generated X-Request-Id = %q, want 16 hex chars", got)
 	}
+
+	// An id is propagated only if it is at most 128 bytes of
+	// [A-Za-z0-9._:-]; the job keeps a generated one otherwise.
+	for i, tc := range []struct {
+		id        string
+		propagate bool
+	}{
+		{"bench-1f2e-submit", true},
+		{"ci-smoke-1", true},
+		{"a.B_9:z-" + strings.Repeat("x", 120), true},
+		{strings.Repeat("x", 129), false},
+		{strings.Repeat("x", 900<<10), false},
+		{"req abc", false},
+		{"req/abc", false},
+		{"<script>", false},
+		{"req-\u00e9", false},
+	} {
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/runs", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Request-Id", tc.id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v JobView
+		err = json.NewDecoder(resp.Body).Decode(&v)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := resp.Header.Get("X-Request-Id")
+		want := tc.id
+		if !tc.propagate {
+			if len(got) != 16 || strings.Trim(got, "0123456789abcdef") != "" {
+				t.Fatalf("case %d: X-Request-Id = %.40q, want 16 generated hex chars", i, got)
+			}
+			want = got
+		}
+		if got != want || v.RequestID != want {
+			t.Fatalf("case %d: X-Request-Id = %.40q, job request_id = %.40q, want %.40q", i, got, v.RequestID, want)
+		}
+	}
 }
 
 // TestEventsStreamE2E subscribes to GET /v1/events over HTTP, submits a

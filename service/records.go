@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/binary"
+	"iter"
 	"math"
 )
 
@@ -49,21 +50,19 @@ func appendRecord(buf []byte, r RoundRecord) []byte {
 	return binary.AppendUvarint(buf, math.Float64bits(r.Absorbed))
 }
 
-// from decodes the records at index i and after.
-func (p packedRecords) from(i int) []RoundRecord {
-	if i >= p.n {
-		return nil
-	}
-	out := make([]RoundRecord, 0, p.n-i)
-	buf := p.buf
-	for k := 0; k < p.n; k++ {
-		var r RoundRecord
-		r, buf = decodeRecord(buf)
-		if k >= i {
-			out = append(out, r)
+// from iterates over the records at index i and after, decoding each as
+// it goes.
+func (p packedRecords) from(i int) iter.Seq[RoundRecord] {
+	return func(yield func(RoundRecord) bool) {
+		buf := p.buf
+		for k := range p.n {
+			var r RoundRecord
+			r, buf = decodeRecord(buf)
+			if k >= i && !yield(r) {
+				return
+			}
 		}
 	}
-	return out
 }
 
 func decodeRecord(buf []byte) (RoundRecord, []byte) {

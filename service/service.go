@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"log/slog"
 	"runtime"
 	"slices"
@@ -277,17 +278,18 @@ func (j *Job) appendRecord(max int, rec RoundRecord) {
 	j.wake()
 }
 
-// recordsFrom returns the records at index >= i, whether the job is
-// terminal, and the channel that will be closed on the next update.
-func (j *Job) recordsFrom(i int) ([]RoundRecord, bool, <-chan struct{}) {
+// recordsFrom returns the records at index >= i, in order, whether the
+// job is terminal, and the channel that will be closed on the next
+// update. A done job's records are unpacked as they are iterated.
+func (j *Job) recordsFrom(i int) (iter.Seq[RoundRecord], bool, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var out []RoundRecord
+	var out iter.Seq[RoundRecord]
 	switch {
 	case j.entry != nil:
 		out = j.entry.records.from(i)
-	case i < len(j.records):
-		out = j.records[i:]
+	default:
+		out = slices.Values(j.records[min(i, len(j.records)):])
 	}
 	return out, j.status.terminal(), j.updated()
 }
@@ -669,7 +671,7 @@ func (s *Service) Records(id string, i int) ([]RoundRecord, bool, <-chan struct{
 		return nil, false, nil, err
 	}
 	recs, terminal, notify := j.recordsFrom(i)
-	return recs, terminal, notify, nil
+	return slices.Collect(recs), terminal, notify, nil
 }
 
 func (s *Service) job(id string) (*Job, error) {

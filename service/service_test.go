@@ -915,11 +915,11 @@ func TestPackedRecordsRoundTrip(t *testing.T) {
 		if len(want) == 0 {
 			want = nil
 		}
-		if got := p.from(i); !reflect.DeepEqual(got, want) {
+		if got := slices.Collect(p.from(i)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("from(%d) = %+v, want %+v", i, got, want)
 		}
 	}
-	if got := packRecords(nil); got.n != 0 || got.from(0) != nil {
+	if got := packRecords(nil); got.n != 0 || slices.Collect(got.from(0)) != nil {
 		t.Fatalf("empty pack: %+v", got)
 	}
 }

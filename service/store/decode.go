@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"repro/engine"
 )
@@ -17,12 +16,12 @@ import (
 //
 // One pass over the frame's members parses its ids and timestamps, the
 // spec through engine.Spec's own decoder, the result's scalars and
-// timing, and each record through engine.Record's decoder. A frame
-// holding anything else goes through encoding/json, the reference both
-// paths decode every frame like: a member the pass does not parse (an
-// unknown key, a key spelled another way, a result's messages, exact or
-// winner_point), a string with escapes, a records array written twice,
-// or a spec under another version.
+// timing through engine.DecodeResult, and each record through
+// engine.Record's decoder. A frame holding anything else goes through
+// encoding/json, the reference both paths decode every frame like: a
+// member the pass does not parse (an unknown key, a key spelled another
+// way, a result's messages, exact or winner_point), a records array
+// written twice, or a spec under another version.
 func DecodeRun(payload []byte) (Run, error) {
 	if r, ok := decodeRun(payload); ok {
 		return r, nil
@@ -64,15 +63,15 @@ func decodeRun(payload []byte) (Run, bool) {
 	ok := engine.EachMember(payload, func(key, value []byte) bool {
 		switch string(key) {
 		case "id":
-			return decodeString(value, &r.ID)
+			return engine.DecodeString(value, &r.ID) == nil
 		case "spec_hash":
-			return decodeString(value, &r.SpecHash)
+			return engine.DecodeString(value, &r.SpecHash) == nil
 		case "request_id":
-			return decodeString(value, &r.RequestID)
+			return engine.DecodeString(value, &r.RequestID) == nil
 		case "spec":
 			return r.Spec.UnmarshalJSON(value) == nil
 		case "result":
-			return decodeResult(value, &r.Result)
+			return engine.DecodeResult(value, &r.Result)
 		case "records":
 			// encoding/json decodes a second array into the first one's
 			// elements.
@@ -80,68 +79,15 @@ func decodeRun(payload []byte) (Run, bool) {
 		case "truncated":
 			return engine.DecodeInt(value, &r.Truncated) == nil
 		case "created":
-			return decodeTime(value, &r.Created)
+			return engine.DecodeTime(value, &r.Created) == nil
 		case "started":
-			return decodeTime(value, &r.Started)
+			return engine.DecodeTime(value, &r.Started) == nil
 		case "finished":
-			return decodeTime(value, &r.Finished)
+			return engine.DecodeTime(value, &r.Finished) == nil
 		}
 		return false
 	})
 	return r, ok && r.Spec.V == engine.SpecVersion
-}
-
-// decodeResult parses a result's scalar members and its timing into res.
-func decodeResult(data []byte, res *engine.Result) bool {
-	return engine.EachMember(data, func(key, value []byte) bool {
-		switch string(key) {
-		case "rounds":
-			return engine.DecodeInt(value, &res.Rounds) == nil
-		case "reason":
-			return decodeString(value, &res.Reason)
-		case "winner":
-			return engine.DecodeInt(value, &res.Winner) == nil
-		case "winner_count":
-			return engine.DecodeInt(value, &res.WinnerCount) == nil
-		case "stable_since":
-			return engine.DecodeInt(value, &res.StableSince) == nil
-		case "seed":
-			return engine.DecodeInt(value, &res.Seed) == nil
-		case "steps":
-			return engine.DecodeInt(value, &res.Steps) == nil
-		case "parallel_time":
-			return engine.DecodeFloat(value, &res.ParallelTime) == nil
-		case "dissenters":
-			return engine.DecodeInt(value, &res.Dissenters) == nil
-		case "timing":
-			if res.Timing == nil {
-				res.Timing = new(engine.RunTiming)
-			}
-			return decodeTiming(value, res.Timing)
-		}
-		return false
-	})
-}
-
-// decodeTiming parses a result's timing into t.
-func decodeTiming(data []byte, t *engine.RunTiming) bool {
-	return engine.EachMember(data, func(key, value []byte) bool {
-		switch string(key) {
-		case "queue_wait_seconds":
-			return engine.DecodeFloat(value, &t.QueueWaitSeconds) == nil
-		case "run_seconds":
-			return engine.DecodeFloat(value, &t.RunSeconds) == nil
-		case "total_seconds":
-			return engine.DecodeFloat(value, &t.TotalSeconds) == nil
-		case "records_emitted":
-			return engine.DecodeInt(value, &t.RecordsEmitted) == nil
-		case "records_truncated":
-			return engine.DecodeInt(value, &t.RecordsTruncated) == nil
-		case "rounds_per_sec":
-			return engine.DecodeFloat(value, &t.RoundsPerSec) == nil
-		}
-		return false
-	})
 }
 
 // decodeRecords parses a records array into a new slice at dst.
@@ -154,19 +100,4 @@ func decodeRecords(data []byte, dst *[]engine.Record) bool {
 	})
 	*dst = recs
 	return ok
-}
-
-// decodeString parses a string without escapes into dst.
-func decodeString(value []byte, dst *string) bool {
-	if !engine.PlainString(value) {
-		return false
-	}
-	*dst = string(value[1 : len(value)-1])
-	return true
-}
-
-// decodeTime parses a timestamp, a string without escapes, into dst with
-// the decoder encoding/json calls.
-func decodeTime(value []byte, dst *time.Time) bool {
-	return engine.PlainString(value) && dst.UnmarshalJSON(value) == nil
 }

@@ -1,0 +1,190 @@
+package service
+
+import (
+	"encoding/json"
+	"net/http"
+	"reflect"
+	"strconv"
+	"sync"
+	"time"
+
+	"repro/engine"
+)
+
+// AppendJSON appends the view's JSON encoding to out: byte for byte what
+// encoding/json writes for a JobView without this file's methods, which
+// stays the reference, or the error it returns (a NaN float, a time
+// outside years 0 to 9999, a spec that does not encode), with out returned
+// as it was passed. The API writes the view of a submit, get or cancel
+// through it.
+func (v *JobView) AppendJSON(out []byte) ([]byte, error) {
+	start := len(out)
+	out = engine.AppendString(append(out, `{"id":`...), v.ID)
+	out = engine.AppendString(append(out, `,"spec_hash":`...), v.SpecHash)
+	out = engine.AppendString(append(out, `,"status":`...), string(v.Status))
+	out = strconv.AppendBool(append(out, `,"cache_hit":`...), v.CacheHit)
+	var err error
+	if v.Result != nil {
+		out, err = v.Result.AppendJSON(append(out, `,"result":`...))
+	}
+	if v.Error != "" {
+		out = engine.AppendString(append(out, `,"error":`...), v.Error)
+	}
+	if v.RequestID != "" {
+		out = engine.AppendString(append(out, `,"request_id":`...), v.RequestID)
+	}
+	out = strconv.AppendInt(append(out, `,"records":`...), int64(v.Records), 10)
+	if v.Truncated != 0 {
+		out = strconv.AppendInt(append(out, `,"truncated":`...), int64(v.Truncated), 10)
+	}
+	out = appendTime(append(out, `,"created":`...), v.Created, timeType, &err)
+	if v.Started != nil {
+		out = appendTime(append(out, `,"started":`...), *v.Started, timePtrType, &err)
+	}
+	if v.Finished != nil {
+		out = appendTime(append(out, `,"finished":`...), *v.Finished, timePtrType, &err)
+	}
+	if err != nil {
+		return out[:start], err
+	}
+	spec, err := v.Spec.MarshalJSON()
+	if err != nil {
+		return out[:start], &json.MarshalerError{Type: specType, Err: err}
+	}
+	out = append(append(out, `,"spec":`...), spec...)
+	return append(out, '}'), nil
+}
+
+// The types encoding/json names in the errors of a view's timestamps and
+// spec.
+var (
+	timeType    = reflect.TypeFor[time.Time]()
+	timePtrType = reflect.TypeFor[*time.Time]()
+	specType    = reflect.TypeFor[Spec]()
+)
+
+// appendTime appends t as encoding/json writes a member of type typ, a
+// time.Time or *time.Time. encoding/json fails on a time RFC 3339 cannot
+// write; appendTime then sets *err to the error it returns, unless *err
+// is already set.
+func appendTime(out []byte, t time.Time, typ reflect.Type, err *error) []byte {
+	text, terr := t.AppendText(append(out, '"'))
+	if terr != nil {
+		if *err == nil {
+			_, terr = t.MarshalJSON()
+			*err = &json.MarshalerError{Type: typ, Err: terr}
+		}
+		return out
+	}
+	return append(text, '"')
+}
+
+// UnmarshalJSON decodes a view as encoding/json decodes it into a JobView
+// without this method. The members AppendJSON writes, in the forms it
+// writes them, are parsed in one pass over data: the result through
+// engine.DecodeResult, the spec through its own decoder. Any other view,
+// such as one with a member written null, a key spelled another way or a
+// gossip result's messages, goes through encoding/json. The client
+// decodes every view it receives through it.
+func (v *JobView) UnmarshalJSON(data []byte) error {
+	view := *v
+	if engine.EachMember(data, func(key, value []byte) bool {
+		switch string(key) {
+		case "id":
+			return engine.DecodeString(value, &view.ID) == nil
+		case "spec_hash":
+			return engine.DecodeString(value, &view.SpecHash) == nil
+		case "status":
+			return engine.DecodeString(value, (*string)(&view.Status)) == nil
+		case "cache_hit":
+			return decodeBool(value, &view.CacheHit)
+		case "result":
+			if view.Result == nil {
+				view.Result = new(RunResult)
+			}
+			return engine.DecodeResult(value, view.Result)
+		case "error":
+			return engine.DecodeString(value, &view.Error) == nil
+		case "request_id":
+			return engine.DecodeString(value, &view.RequestID) == nil
+		case "records":
+			return engine.DecodeInt(value, &view.Records) == nil
+		case "truncated":
+			return engine.DecodeInt(value, &view.Truncated) == nil
+		case "created":
+			return engine.DecodeTime(value, &view.Created) == nil
+		case "started":
+			return decodeTimePtr(value, &view.Started)
+		case "finished":
+			return decodeTimePtr(value, &view.Finished)
+		case "spec":
+			return view.Spec.UnmarshalJSON(value) == nil
+		}
+		return false
+	}) {
+		*v = view
+		return nil
+	}
+	type plain JobView
+	return json.Unmarshal(data, (*plain)(v))
+}
+
+// decodeBool parses a JSON boolean into dst.
+func decodeBool(value []byte, dst *bool) bool {
+	switch string(value) {
+	case "true":
+		*dst = true
+	case "false":
+		*dst = false
+	default:
+		return false
+	}
+	return true
+}
+
+// decodeTimePtr parses a timestamp, a plain string, into the time dst
+// points to, allocating it if dst is nil, as encoding/json does. It
+// reports false for anything else: encoding/json decodes null, for one,
+// to a nil pointer.
+func decodeTimePtr(value []byte, dst **time.Time) bool {
+	if !engine.PlainString(value) {
+		return false
+	}
+	if *dst == nil {
+		*dst = new(time.Time)
+	}
+	return (*dst).UnmarshalJSON(value) == nil
+}
+
+// buffers holds the buffers that views and stream lines are encoded into
+// before their one write.
+var buffers = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBuffer bounds the buffers that go back to the pool, so that a
+// long stream's does not stay held.
+const maxPooledBuffer = 64 << 10
+
+func getBuffer() *[]byte { return buffers.Get().(*[]byte) }
+
+func putBuffer(buf *[]byte) {
+	if cap(*buf) <= maxPooledBuffer {
+		*buf = (*buf)[:0]
+		buffers.Put(buf)
+	}
+}
+
+// writeView writes v as the JSON response body with one write, as
+// writeJSON would write it: a view that does not encode leaves the body
+// empty.
+func writeView(w http.ResponseWriter, status int, v *JobView) {
+	buf := getBuffer()
+	defer putBuffer(buf)
+	out, err := v.AppendJSON(*buf)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	if err == nil {
+		out = append(out, '\n')
+		_, _ = w.Write(out)
+	}
+	*buf = out
+}
