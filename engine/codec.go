@@ -15,35 +15,142 @@ import (
 // encoding/json.
 
 // UnmarshalJSON decodes a record as encoding/json decodes it into a Record
-// without this method. The scalar members, as the encoder writes them, are
-// parsed in one pass over data; any other record, such as one with a
+// without this method. A record of the shape the encoder writes is parsed
+// in one pass over data; any other record, such as one with a
 // leader_point or a key spelled another way, goes through encoding/json.
-// The store reloads every persisted record through this decoder, and the
-// client every streamed one.
+// The client decodes every streamed record through it.
 func (r *Record) UnmarshalJSON(data []byte) error {
 	rec := *r
-	if EachMember(data, func(key, value []byte) bool {
-		switch string(key) {
-		case "round":
-			return DecodeInt(value, &rec.Round) == nil
-		case "n":
-			return DecodeInt(value, &rec.N) == nil
-		case "support":
-			return DecodeInt(value, &rec.Support) == nil
-		case "leader":
-			return DecodeInt(value, &rec.Leader) == nil
-		case "leader_count":
-			return DecodeInt(value, &rec.LeaderCount) == nil
-		case "absorbed":
-			return DecodeFloat(value, &rec.Absorbed) == nil
-		}
-		return false
-	}) {
+	if end, ok := rec.parse(data, skipSpace(data, 0)); ok && skipSpace(data, end) == len(data) {
 		*r = rec
 		return nil
 	}
-	type plain Record
-	return json.Unmarshal(data, (*plain)(r))
+	return unmarshalInto(data, (*plainRecord)(r))
+}
+
+// plainRecord is Record without its decoder, for encoding/json.
+type plainRecord Record
+
+// parse decodes the record object that starts at data[i] into r, in place
+// as encoding/json would, and returns the index just past it. It reads the
+// scalar members in the forms the encoder writes, in any order, a repeated
+// one overwriting the earlier. It reports false, with r partly written,
+// for any other record: one with a leader_point, an escaped key or a key
+// spelled another way, or a value encoding/json would reject.
+func (r *Record) parse(data []byte, i int) (end int, ok bool) {
+	if i == len(data) || data[i] != '{' {
+		return i, false
+	}
+	i = skipSpace(data, i+1)
+	if i < len(data) && data[i] == '}' {
+		return i + 1, true
+	}
+	for {
+		j, escaped := stringEnd(data, i)
+		if j < 0 || escaped {
+			return i, false
+		}
+		key := data[i+1 : j-1]
+		if i = skipSpace(data, j); i == len(data) || data[i] != ':' {
+			return i, false
+		}
+		i = skipSpace(data, i+1)
+		switch string(key) {
+		case "round":
+			i, ok = intAt(data, i, &r.Round)
+		case "n":
+			i, ok = intAt(data, i, &r.N)
+		case "support":
+			i, ok = intAt(data, i, &r.Support)
+		case "leader":
+			i, ok = intAt(data, i, &r.Leader)
+		case "leader_count":
+			i, ok = intAt(data, i, &r.LeaderCount)
+		case "absorbed":
+			j = valueEnd(data, i)
+			ok = j >= 0 && DecodeFloat(data[i:j], &r.Absorbed) == nil
+			i = j
+		default:
+			return i, false
+		}
+		if !ok {
+			return i, false
+		}
+		if i = skipSpace(data, i); i == len(data) {
+			return i, false
+		}
+		switch data[i] {
+		case ',':
+			i = skipSpace(data, i+1)
+		case '}':
+			return i + 1, true
+		default:
+			return i, false
+		}
+	}
+}
+
+// intAt decodes the JSON value that starts at data[i] into dst as
+// DecodeInt does, and returns the index just past it. A count of at most
+// 18 digits, the form the encoder writes, is parsed as it is scanned.
+func intAt[T int | int64](data []byte, i int, dst *T) (end int, ok bool) {
+	var n uint64
+	j := i
+	for ; j < len(data) && j-i < 19 && '0' <= data[j] && data[j] <= '9'; j++ {
+		n = n*10 + uint64(data[j]-'0')
+	}
+	digits := j - i
+	plain := digits > 0 && digits < 19 && (data[i] != '0' || digits == 1) && j < len(data) && delimiter[data[j]]
+	if plain && uint64(T(n)) == n && T(n) >= 0 {
+		*dst = T(n)
+		return j, true
+	}
+	if end = valueEnd(data, i); end < 0 {
+		return i, false
+	}
+	return end, DecodeInt(data[i:end], dst) == nil
+}
+
+// delimiter marks the bytes that end a JSON number.
+var delimiter = [256]bool{' ': true, '\t': true, '\n': true, '\r': true, ',': true, '}': true, ']': true}
+
+// DecodeRecords decodes the JSON array of records that data starts with
+// into a new slice at dst, as encoding/json decodes it into a nil
+// []Record, and returns the array's length. It is one pass over the
+// array: each element is parsed where it is scanned, and one parse does
+// not read is skipped to its end and decoded through encoding/json. It
+// returns -1, leaving dst as it was, if data does not start with an array
+// or encoding/json rejects an element.
+func DecodeRecords(data []byte, dst *[]Record) int {
+	// Most runs' records fit on the stack; the slice kept is sized exactly.
+	var stack [64]Record
+	recs := stack[:0]
+	if len(data) == 0 || data[0] != '[' {
+		return -1
+	}
+	i := skipSpace(data, 1)
+	if i == len(data) || data[i] != ']' {
+		for {
+			recs = append(recs, Record{})
+			r := &recs[len(recs)-1]
+			end, ok := r.parse(data, i)
+			if !ok {
+				*r = Record{}
+				if end = valueEnd(data, i); end < 0 || unmarshalInto(data[i:end], (*plainRecord)(r)) != nil {
+					return -1
+				}
+			}
+			if i = skipSpace(data, end); i == len(data) || data[i] != ',' {
+				break
+			}
+			i = skipSpace(data, i+1)
+		}
+		if i == len(data) || data[i] != ']' {
+			return -1
+		}
+	}
+	*dst = append(make([]Record, 0, len(recs)), recs...)
+	return i + 1
 }
 
 // AppendJSON appends the record's JSON encoding to out: what encoding/json
@@ -220,6 +327,22 @@ func AppendString(out []byte, str string) []byte {
 	}
 	buf, _ := json.Marshal(str)
 	return append(out, buf...)
+}
+
+// AppendTime appends t as encoding/json writes a member of type typ, a
+// time.Time or *time.Time. encoding/json fails on a time RFC 3339 cannot
+// write; AppendTime then sets *err to the error it returns, unless *err
+// is already set, and appends nothing.
+func AppendTime(out []byte, t time.Time, typ reflect.Type, err *error) []byte {
+	text, terr := t.AppendText(append(out, '"'))
+	if terr != nil {
+		if *err == nil {
+			_, terr = t.MarshalJSON()
+			*err = &json.MarshalerError{Type: typ, Err: terr}
+		}
+		return out
+	}
+	return append(text, '"')
 }
 
 // appendInts appends vals as encoding/json writes an []int64: null for a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -287,55 +288,63 @@ func sortMembers(members []member) (_ []member, valid bool) {
 // and checking it is left to whoever decodes it. ok is false if data is
 // not an object of that shape.
 func objectMembers(dst []member, data []byte) (_ []member, ok bool) {
+	ok = scanMembers(data, func(raw, key, rest []byte) int {
+		n := valueEnd(rest, 0)
+		if n >= 0 {
+			dst = append(dst, member{raw: raw, key: key, value: rest[:n]})
+		}
+		return n
+	})
+	return dst, ok
+}
+
+// scanMembers walks the top-level members of the JSON object in data, in
+// the order written, checking only the object's own punctuation. fn is
+// called with each member's key as written (raw), the key unescaped, and
+// data from the member's value on; it returns the value's length, or -1
+// to stop the walk. scanMembers reports false, having stopped, if data is
+// not an object of that shape or fn returns -1.
+func scanMembers(data []byte, fn func(raw, key, rest []byte) int) bool {
 	i := skipSpace(data, 0)
 	if i == len(data) || data[i] != '{' {
-		return dst, false
+		return false
 	}
 	i = skipSpace(data, i+1)
 	if i < len(data) && data[i] == '}' {
-		if skipSpace(data, i+1) != len(data) {
-			return dst, false
-		}
-		return dst, true
+		return skipSpace(data, i+1) == len(data)
 	}
 	for {
 		end, escaped := stringEnd(data, i)
 		if end < 0 {
-			return dst, false
+			return false
 		}
-		m := member{raw: data[i:end], key: data[i+1 : end-1]}
+		raw, key := data[i:end], data[i+1:end-1]
 		if escaped {
-			var key string
-			if json.Unmarshal(m.raw, &key) != nil {
-				return dst, false
+			var k string
+			if json.Unmarshal(raw, &k) != nil {
+				return false
 			}
-			m.key = []byte(key)
+			key = []byte(k)
 		}
 		i = skipSpace(data, end)
 		if i == len(data) || data[i] != ':' {
-			return dst, false
+			return false
 		}
 		i = skipSpace(data, i+1)
-		end = valueEnd(data, i)
-		if end < 0 {
-			return dst, false
+		n := fn(raw, key, data[i:])
+		if n < 0 {
+			return false
 		}
-		m.value = data[i:end]
-		dst = append(dst, m)
-		i = skipSpace(data, end)
-		if i == len(data) {
-			return dst, false
+		if i = skipSpace(data, i+n); i == len(data) {
+			return false
 		}
 		switch data[i] {
 		case ',':
 			i = skipSpace(data, i+1)
 		case '}':
-			if skipSpace(data, i+1) != len(data) {
-				return dst, false
-			}
-			return dst, true
+			return skipSpace(data, i+1) == len(data)
 		default:
-			return dst, false
+			return false
 		}
 	}
 }
@@ -346,52 +355,31 @@ func objectMembers(dst []member, data []byte) (_ []member, ok bool) {
 // and records. Like objectMembers it checks only the object's own
 // punctuation: an escaped key is unescaped and an unescaped one passed as
 // written, and checking each value is left to fn. It reports false,
-// having stopped, if data is not an object or fn returns false.
+// having stopped, if data is not an object or fn returns false; fn may
+// have been called on members before a fault in the object's punctuation.
 func EachMember(data []byte, fn func(key, value []byte) bool) bool {
-	var stack [16]member
-	members, ok := objectMembers(stack[:0], data)
-	if !ok {
-		return false
-	}
-	for _, m := range members {
-		if !fn(m.key, m.value) {
-			return false
+	return scanMembers(data, func(_, key, rest []byte) int {
+		n := valueEnd(rest, 0)
+		if n < 0 || !fn(key, rest[:n]) {
+			return -1
 		}
-	}
-	return true
+		return n
+	})
 }
 
-// EachElement calls fn with each element of the JSON array in data, as
-// written. It checks only the array's own punctuation, and reports false,
-// having stopped, if data is not an array or fn returns false.
-func EachElement(data []byte, fn func(value []byte) bool) bool {
-	i := skipSpace(data, 0)
-	if i == len(data) || data[i] != '[' {
-		return false
-	}
-	i = skipSpace(data, i+1)
-	if i < len(data) && data[i] == ']' {
-		return skipSpace(data, i+1) == len(data)
-	}
-	for {
-		end := valueEnd(data, i)
-		if end < 0 || !fn(data[i:end]) {
-			return false
-		}
-		i = skipSpace(data, end)
-		if i == len(data) {
-			return false
-		}
-		switch data[i] {
-		case ',':
-			i = skipSpace(data, i+1)
-		case ']':
-			return skipSpace(data, i+1) == len(data)
-		default:
-			return false
-		}
-	}
+// ScanMembers is EachMember for decoders that find where a value ends as
+// they parse it: fn is called with each member's key and data from its
+// value on, and returns the value's length, found by parsing it or by
+// ValueLen, or -1 to stop. It reports false, having stopped, if data is
+// not an object or fn returns -1.
+func ScanMembers(data []byte, fn func(key, rest []byte) int) bool {
+	return scanMembers(data, func(_, key, rest []byte) int { return fn(key, rest) })
 }
+
+// ValueLen returns the length of the JSON value that data starts with, or
+// -1 if it is unterminated. Strings and nesting are followed, but nothing
+// else is checked.
+func ValueLen(data []byte) int { return valueEnd(data, 0) }
 
 // stringEnd returns the index just past the JSON string starting at
 // data[i], or -1 if there is none, and whether the string holds an
@@ -778,7 +766,7 @@ func (s Spec) Hash() (string, error) {
 // Hash(s) == HashBytes(s.Canonical()).
 func HashBytes(canonical []byte) string {
 	sum := sha256.Sum256(canonical)
-	return fmt.Sprintf("%x", sum[:])
+	return hex.EncodeToString(sum[:])
 }
 
 // DeriveSeed maps a canonical spec hash to a run seed via the splitmix64

@@ -138,17 +138,20 @@ func newVec[T any](newChild func() *T) vec[T] {
 }
 
 func (v *vec[T]) with(labelValues []string) *T {
-	key := join(labelValues)
+	// The key is built on the stack: looking up an existing child, the
+	// common case, allocates nothing.
+	var stack [64]byte
+	key := appendJoined(stack[:0], labelValues)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if c, ok := v.children[key]; ok {
+	if c, ok := v.children[string(key)]; ok {
 		return c
 	}
-	c := v.newChild()
-	v.children[key] = c
+	c, k := v.newChild(), string(key)
+	v.children[k] = c
 	vals := make([]string, len(labelValues))
 	copy(vals, labelValues)
-	v.values[key] = vals
+	v.values[k] = vals
 	return c
 }
 
@@ -170,24 +173,17 @@ func (v *vec[T]) snapshot() (keys []string, children []*T, values [][]string) {
 	return
 }
 
-// join concatenates label values with a separator that cannot appear in
-// practice (0xff) so distinct value tuples cannot collide.
-func join(values []string) string {
-	if len(values) == 1 {
-		return values[0]
-	}
-	n := 0
-	for _, s := range values {
-		n += len(s) + 1
-	}
-	b := make([]byte, 0, n)
+// appendJoined appends the label values to b, separated by a byte that
+// cannot appear in practice (0xff), so distinct value tuples cannot
+// collide.
+func appendJoined(b []byte, values []string) []byte {
 	for i, s := range values {
 		if i > 0 {
 			b = append(b, 0xff)
 		}
 		b = append(b, s...)
 	}
-	return string(b)
+	return b
 }
 
 // CounterVec is a labeled counter family. Resolve a child with With once,

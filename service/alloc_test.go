@@ -1,0 +1,53 @@
+//go:build !race
+
+// The race detector's sync.Pool drops pooled buffers at random, so
+// allocation counts are pinned only without it.
+
+package service
+
+import (
+	"bytes"
+	"net/http/httptest"
+	"testing"
+)
+
+// TestHandlerAllocs pins the allocations of a cache-hit submit, a get
+// and a done job's stream through the handler, with the default
+// discarding logger: log lines the logger drops build no attributes, an
+// existing metric child is found without building its label key, and the
+// hash's hex digits are written without fmt. The counts include the
+// httptest request's and recorder's own.
+func TestHandlerAllocs(t *testing.T) {
+	s := newTestService(t, Options{Workers: 1})
+	spec := hitSpec(4243)
+	v, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, s, v.ID)
+	body, err := spec.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	serve := func(method, target string, body []byte) func() {
+		return func() {
+			req := httptest.NewRequest(method, target, bytes.NewReader(body))
+			req.Header.Set("X-Request-Id", "bench-4243-1")
+			h.ServeHTTP(httptest.NewRecorder(), req)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		max  float64
+		run  func()
+	}{
+		{"cache-hit submit", 58, serve("POST", "/v1/runs", body)},
+		{"get", 34, serve("GET", "/v1/runs/"+v.ID, nil)},
+		{"done stream", 35, serve("GET", "/v1/runs/"+v.ID+"/stream", nil)},
+	} {
+		if got := testing.AllocsPerRun(50, c.run); got > c.max {
+			t.Errorf("%s: %v allocations, want at most %v", c.name, got, c.max)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"strconv"
@@ -98,9 +99,13 @@ func (s *Service) instrument(mux *http.ServeMux) http.Handler {
 		}
 		elapsed := time.Since(start)
 		s.metrics.httpDuration.With(route, strconv.Itoa(status)).ObserveDuration(elapsed)
-		s.logger.Info("http request", "method", r.Method, "route", route,
-			"path", r.URL.Path, "status", status,
-			"duration_ms", float64(elapsed.Microseconds())/1000, "request_id", reqID)
+		// The attributes are built only for a logger that keeps the line:
+		// boxing them costs allocations on every request.
+		if s.logger.Enabled(r.Context(), slog.LevelInfo) {
+			s.logger.Info("http request", "method", r.Method, "route", route,
+				"path", r.URL.Path, "status", status,
+				"duration_ms", float64(elapsed.Microseconds())/1000, "request_id", reqID)
+		}
 	})
 }
 
@@ -436,14 +441,13 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		if !writeAll(w, buf) || err != nil {
+		// A done job's lines are not flushed: the server then sends them
+		// with a Content-Length, in one write, instead of chunked.
+		if !writeAll(w, buf) || err != nil || terminal {
 			return
 		}
 		if flusher != nil {
 			flusher.Flush()
-		}
-		if terminal {
-			return
 		}
 		select {
 		case <-notify:

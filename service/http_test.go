@@ -459,6 +459,44 @@ func TestStreamFollowsLiveRun(t *testing.T) {
 	}
 }
 
+// TestDoneStreamHasContentLength: a done job's stream is not flushed, so
+// its few lines come back in one response with a Content-Length rather
+// than chunked, and they are the run's records.
+func TestDoneStreamHasContentLength(t *testing.T) {
+	s := newHTTPService(t, service.Options{Workers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	ctx := context.Background()
+	view, err := client.New(ts.URL).Submit(ctx, service.Spec{Seed: 5, Payload: &service.MedianSpec{
+		Init: service.InitSpec{Kind: "twovalue", N: 1000},
+		Rule: service.RuleSpec{Name: "median"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := client.New(ts.URL).Wait(ctx, view.ID, time.Millisecond)
+	if err != nil || final.Status != service.StatusDone {
+		t.Fatalf("run did not finish: %+v, %v", final, err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/runs/" + view.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("done stream: Content-Length %d, Transfer-Encoding %v, %d body bytes",
+			resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+	if lines := bytes.Count(body, []byte{'\n'}); lines != final.Result.Rounds+1 {
+		t.Fatalf("done stream has %d lines, want %d", lines, final.Result.Rounds+1)
+	}
+}
+
 // TestEnginesEndpoint: GET /v1/engines serves every registered kind's
 // descriptor, sorted by kind, independent of registration order, and the
 // content matches the in-process registry exactly.

@@ -541,8 +541,10 @@ func (s *Service) enqueue(spec Spec, hash, reqID string) (*Job, JobView, error) 
 			RequestID: reqID, Status: string(StatusDone), Detail: "cache hit",
 		})
 	}
-	s.logger.Debug("job submitted", "job", j.id, "kind", spec.Kind,
-		"spec_hash", hash, "cache_hit", j.cacheHit, "request_id", reqID)
+	if s.logger.Enabled(context.Background(), slog.LevelDebug) {
+		s.logger.Debug("job submitted", "job", j.id, "kind", spec.Kind,
+			"spec_hash", hash, "cache_hit", j.cacheHit, "request_id", reqID)
+	}
 	return j, j.view(), nil
 }
 
@@ -820,8 +822,10 @@ func (s *Service) finish(j *Job, st Status, res *RunResult, errMsg string) {
 		Type: "job." + string(st), Job: j.id, Kind: kind, SpecHash: j.hash,
 		RequestID: j.reqID, Status: string(st), Elapsed: elapsed, Detail: errMsg,
 	})
-	s.logger.Info("job finished", "job", j.id, "kind", kind, "status", st,
-		"elapsed", elapsed, "error", errMsg, "request_id", j.reqID)
+	if s.logger.Enabled(context.Background(), slog.LevelInfo) {
+		s.logger.Info("job finished", "job", j.id, "kind", kind, "status", st,
+			"elapsed", elapsed, "error", errMsg, "request_id", j.reqID)
+	}
 	s.mu.Lock()
 	if s.pending[j.hash] == j {
 		delete(s.pending, j.hash)

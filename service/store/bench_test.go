@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -15,7 +16,17 @@ import (
 // before it serves. Each run is a median run of a uniform start over 16
 // values among 5000 processes, with its service timing and every round
 // record.
-func BenchmarkStoreOpen(b *testing.B) {
+func BenchmarkStoreOpen(b *testing.B) { benchmarkStoreOpen(b) }
+
+// BenchmarkStoreOpenOneCPU is BenchmarkStoreOpen with GOMAXPROCS 1, set
+// inside the benchmark because benchdiff drops -cpu suffixes: recovery on
+// one core, where the frames are decoded one after another.
+func BenchmarkStoreOpenOneCPU(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	benchmarkStoreOpen(b)
+}
+
+func benchmarkStoreOpen(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "open.store")
 	data := Header()
 	for i := range 2048 {
@@ -45,6 +56,18 @@ func BenchmarkStoreOpen(b *testing.B) {
 		}
 		if n != 2048 {
 			b.Fatalf("reloaded %d runs, want 2048", n)
+		}
+	}
+}
+
+// BenchmarkEncodeRun encodes one prepped run as its frame payload, as
+// every Append and every compaction does.
+func BenchmarkEncodeRun(b *testing.B) {
+	run := prepRun(b, 0)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := EncodeRun(run); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

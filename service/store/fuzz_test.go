@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -85,7 +86,9 @@ func FuzzOpen(f *testing.F) {
 // method-free mirrors of Run, engine.Result and engine.Record: on any
 // payload both fail or both succeed, agree on whether the failure is
 // engine.ErrSpecVersion, and otherwise return deeply equal runs. A payload
-// that decodes must also re-encode to a byte-stable form.
+// that decodes must also re-encode to a byte-stable form, and EncodeRun
+// must write what refEncodeRun writes, byte for byte or with the same
+// error.
 func FuzzDecodeRun(f *testing.F) {
 	checkRefRun(f)
 	for _, payload := range seedPayloads(f) {
@@ -125,6 +128,10 @@ func FuzzDecodeRun(f *testing.F) {
 			t.Fatalf("decode of %q:\n got       %+v\n reference %+v", payload, run, want)
 		}
 		buf, err := EncodeRun(run)
+		ref, refErr := refEncodeRun(run)
+		if !bytes.Equal(buf, ref) || fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("encode of %q:\n got       %s, %v\n reference %s, %v", payload, buf, err, ref, refErr)
+		}
 		if err != nil {
 			t.Fatalf("decoded run does not re-encode: %v", err)
 		}
@@ -197,6 +204,61 @@ func refDecodeRun(payload []byte) (Run, error) {
 		}
 	}
 	return r, nil
+}
+
+// refEncodeRun is encoding/json on the refRun mirror of r: how EncodeRun
+// encoded every run before its append encoder, and its reference.
+func refEncodeRun(r Run) ([]byte, error) {
+	ref := refRun{
+		ID: r.ID, SpecHash: r.SpecHash, RequestID: r.RequestID, Spec: r.Spec,
+		Result: refResult(r.Result), Truncated: r.Truncated,
+		Created: r.Created, Started: r.Started, Finished: r.Finished,
+	}
+	if r.Records != nil {
+		ref.Records = make([]refRecord, len(r.Records))
+		for i, rec := range r.Records {
+			ref.Records[i] = refRecord(rec)
+		}
+	}
+	return json.Marshal(ref)
+}
+
+// TestEncodeRunMatchesEncodingJSON checks EncodeRun against refEncodeRun
+// on runs no decoded payload holds: every optional member at its edges,
+// and each error encoding/json returns, in the order it meets them.
+func TestEncodeRunMatchesEncodingJSON(t *testing.T) {
+	base, err := makeRun(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	far := time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)
+	zone := time.Date(2026, 1, 2, 3, 4, 5, 0, time.FixedZone("", 24*3600))
+	for _, c := range []struct {
+		name  string
+		fails bool
+		edit  func(r *Run)
+	}{
+		{"as made", false, func(*Run) {}},
+		{"zero", false, func(r *Run) { *r = Run{} }},
+		{"html", false, func(r *Run) { r.ID, r.RequestID, r.Result.Reason = "<a&b>", "\u2028\xff", "x\"y" }},
+		{"empty records", false, func(r *Run) { r.Records, r.Truncated = []engine.Record{}, -3 }},
+		{"leader point", false, func(r *Run) {
+			r.Records = []engine.Record{{Round: 1, LeaderPoint: &[]int64{-1, 2}, Absorbed: 1e-7}}
+		}},
+		{"nan result", true, func(r *Run) { r.Result.ParallelTime = math.NaN(); r.Created = far }},
+		{"inf record", true, func(r *Run) { r.Records = []engine.Record{{}, {Absorbed: math.Inf(-1)}}; r.Started = far }},
+		{"far created", true, func(r *Run) { r.Created, r.Finished = far, zone }},
+		{"zone started", true, func(r *Run) { r.Started = zone }},
+		{"far finished", true, func(r *Run) { r.Finished = far.AddDate(-20000, 0, 0) }},
+	} {
+		r := base
+		c.edit(&r)
+		got, err := EncodeRun(r)
+		want, wantErr := refEncodeRun(r)
+		if !bytes.Equal(got, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) || (wantErr != nil) != c.fails {
+			t.Errorf("%s:\n got       %s, %v\n reference %s, %v", c.name, got, err, want, wantErr)
+		}
+	}
 }
 
 // seedPayloads returns FuzzDecodeRun's seed frames: makeRun's runs,

@@ -23,7 +23,8 @@
 //
 // # Recovery and compaction
 //
-// Open scans the whole file, streaming frame by frame. A truncated tail
+// Open scans the whole file, streaming it a chunk of frames at a time and
+// decoding each chunk on every CPU. A truncated tail
 // (a partial frame, e.g. from a crash mid-append) or a frame whose CRC
 // does not match ends the scan: everything from the bad frame on is
 // dropped, everything before it is kept — append-only framing means
@@ -58,14 +59,16 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/engine"
@@ -124,11 +127,6 @@ type Run struct {
 	Started  time.Time `json:"started"`
 	Finished time.Time `json:"finished"`
 }
-
-// EncodeRun renders a Run as its frame payload — deterministic for a
-// normalized spec (the spec codec sorts keys), so encode∘decode∘encode is
-// byte-identical.
-func EncodeRun(r Run) ([]byte, error) { return json.Marshal(r) }
 
 // Stats reports a log's lifetime counters, surfaced on /v1/metrics.
 type Stats struct {
@@ -243,9 +241,10 @@ type Log struct {
 // Open opens (or creates) the store file at path with no retention policy,
 // recovering every intact record and compacting the file when anything was
 // dropped or superseded. The recovered records are replayed by Load, in
-// append order. Recovery streams the file frame by frame, so transient
-// memory is one frame plus the decoded records — never a second, raw copy
-// of the whole file.
+// append order. Recovery streams the file a chunk of frames at a time and
+// decodes each chunk on every CPU (see scanReader), so transient memory is
+// one chunk plus the decoded records — never a second, raw copy of the
+// whole file.
 func Open(path string) (*Log, error) { return OpenWithPolicy(path, Policy{}) }
 
 // OpenWithPolicy is Open under a retention Policy: beyond recovery and
@@ -305,7 +304,7 @@ func OpenWithPolicy(path string, pol Policy) (*Log, error) {
 		f.Close()
 		return nil, fmt.Errorf("store: %s has format version %d, this binary reads version %d", path, v, FormatVersion)
 	}
-	frames, dropped, dirty, err := scanReader(br)
+	frames, dropped, dirty, err := scanReader(br, info.Size()-int64(headerSize))
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -371,76 +370,164 @@ type frameRec struct {
 	size    int64
 }
 
-// scanReader walks the framed region of a store file. It returns the
-// surviving frames in append order (later records for the same spec hash
-// replace earlier ones in place), the number of records dropped, and
-// whether the file needs a compacting rewrite — only actual corruption
-// (truncated or CRC-failing tail) or superseded duplicates count as
-// dropped and dirty; undecodable-but-intact frames are preserved. err is
-// only a genuine read failure, which must abort the open rather than
-// compact surviving records over unreadable ones.
-func scanReader(r io.Reader) (frames []frameRec, dropped int64, dirty bool, err error) {
-	index := map[string]int{}
-	hdr := make([]byte, frameHeaderSize)
-	// One buffer holds each payload in turn: a decoded Run shares no
-	// memory with its payload, and an opaque frame keeps a copy.
-	var buf []byte
+// scanReader walks the framed region of a store file, size bytes long. It
+// returns the surviving frames in append order (later records for the
+// same spec hash replace earlier ones in place), the number of records
+// dropped, and whether the file needs a compacting rewrite — only actual
+// corruption (truncated or CRC-failing tail) or superseded duplicates
+// count as dropped and dirty; undecodable-but-intact frames are
+// preserved. err is only a genuine read failure, which must abort the
+// open rather than compact surviving records over unreadable ones.
+//
+// Frames are read and CRC-checked in file order into a chunk of at most
+// chunkPerCPU × GOMAXPROCS payload bytes, or size if that is less. The
+// chunk's frames are decoded on up to GOMAXPROCS goroutines, and the
+// results applied in file order, so the outcome is that of decoding one
+// frame after another. The raw payload bytes held at once are thus at
+// most chunkPerCPU × GOMAXPROCS, or one frame when a single frame is
+// larger, whatever the file's size.
+func scanReader(r io.Reader, size int64) (frames []frameRec, dropped int64, dirty bool, err error) {
+	limit := int64(chunkPerCPU * runtime.GOMAXPROCS(0))
+	s := frameScan{index: map[string]int{}, limit: int(max(min(limit, size), 1))}
+	err = s.read(r)
+	s.flush()
+	return s.frames, s.dropped, s.dirty, err
+}
+
+// chunkPerCPU is the payload bytes per CPU that scanReader reads before
+// it decodes them. Tests shrink it to put chunk boundaries anywhere.
+var chunkPerCPU = 512 << 10
+
+// frameScan is scanReader's state: the frames applied so far and the
+// chunk read but not yet decoded.
+type frameScan struct {
+	frames  []frameRec
+	index   map[string]int
+	dropped int64
+	dirty   bool
+
+	// buf holds the chunk's payloads back to back, the i'th ending at
+	// ends[i]; limit bounds len(buf) unless one payload is larger.
+	buf   []byte
+	ends  []int
+	limit int
+}
+
+// read reads frames into the chunk until the framed region ends, flushing
+// the chunk whenever the next payload would overflow it.
+func (s *frameScan) read(r io.Reader) error {
+	var hdr [frameHeaderSize]byte
 	for {
-		if _, e := io.ReadFull(r, hdr); e != nil {
+		if _, e := io.ReadFull(r, hdr[:]); e != nil {
 			switch e {
 			case io.EOF: // clean end on a frame boundary
-				return frames, dropped, dirty, nil
+				return nil
 			case io.ErrUnexpectedEOF: // partial frame header: crash mid-append
-				return frames, dropped, true, nil
+				s.dirty = true
+				return nil
 			default:
-				return frames, dropped, dirty, e
+				return e
 			}
 		}
-		length := binary.LittleEndian.Uint32(hdr)
+		length := int(binary.LittleEndian.Uint32(hdr[:]))
 		crc := binary.LittleEndian.Uint32(hdr[4:])
 		if length > maxPayload {
-			return frames, dropped + 1, true, nil
+			s.dropped, s.dirty = s.dropped+1, true
+			return nil
 		}
-		if int(length) > cap(buf) {
-			buf = make([]byte, length)
+		if len(s.buf) > 0 && len(s.buf)+length > s.limit {
+			s.flush()
 		}
-		payload := buf[:length]
+		start := len(s.buf)
+		if start+length > cap(s.buf) {
+			s.buf = append(make([]byte, 0, max(start+length, s.limit)), s.buf...)
+		}
+		payload := s.buf[start : start+length]
 		if _, e := io.ReadFull(r, payload); e != nil {
 			if e == io.EOF || e == io.ErrUnexpectedEOF { // truncated payload
-				return frames, dropped + 1, true, nil
+				s.dropped, s.dirty = s.dropped+1, true
+				return nil
 			}
-			return frames, dropped, dirty, e
+			return e
 		}
 		if crc32.Checksum(payload, castagnoli) != crc {
 			// A frame that fails its CRC poisons everything after it:
 			// if the corrupt byte was in the length field, the rest of
 			// the file is not frame-aligned.
-			return frames, dropped + 1, true, nil
+			s.dropped, s.dirty = s.dropped+1, true
+			return nil
 		}
-		size := int64(frameHeaderSize) + int64(length)
-		run, e := DecodeRun(payload)
-		if e != nil || run.SpecHash == "" {
-			// CRC-intact but not decodable by this binary (a kind it does
-			// not register, a spec under a different engine.SpecVersion, or
-			// a record without a cache key): preserved opaquely, not
-			// loaded. Compaction must never destroy intact data a fuller
-			// (or differently-versioned) binary could still read.
-			frames = append(frames, frameRec{
-				payload: bytes.Clone(payload),
-				oldSpec: errors.Is(e, engine.ErrSpecVersion),
-				size:    size,
-			})
-			continue
-		}
-		if i, dup := index[run.SpecHash]; dup {
-			frames[i] = frameRec{run: run, decoded: true, size: size} // later write wins
-			dropped++
-			dirty = true
-			continue
-		}
-		index[run.SpecHash] = len(frames)
-		frames = append(frames, frameRec{run: run, decoded: true, size: size})
+		s.buf = s.buf[:start+length]
+		s.ends = append(s.ends, len(s.buf))
 	}
+}
+
+// flush decodes the chunk's frames onto the end of s.frames, applies them
+// in file order and empties the chunk.
+func (s *frameScan) flush() {
+	base := len(s.frames)
+	s.frames = slices.Grow(s.frames, len(s.ends))[:base+len(s.ends)]
+	s.decode(s.frames[base:])
+	kept := base
+	for _, fr := range s.frames[base:] {
+		if fr.decoded {
+			if i, dup := s.index[fr.run.SpecHash]; dup {
+				s.frames[i] = fr // later write wins
+				s.dropped++
+				s.dirty = true
+				continue
+			}
+			s.index[fr.run.SpecHash] = kept
+		}
+		s.frames[kept] = fr
+		kept++
+	}
+	clear(s.frames[kept:])
+	s.frames = s.frames[:kept]
+	s.buf, s.ends = s.buf[:0], s.ends[:0]
+}
+
+// decode decodes the chunk's i'th payload into dst[i], on up to
+// GOMAXPROCS goroutines that each take the next frame not yet taken; with
+// one CPU, or one frame, the calling goroutine decodes them all.
+func (s *frameScan) decode(dst []frameRec) {
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < len(dst); i = int(next.Add(1) - 1) {
+			start := 0
+			if i > 0 {
+				start = s.ends[i-1]
+			}
+			dst[i] = decodeFrame(s.buf[start:s.ends[i]])
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(dst)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// decodeFrame decodes a CRC-intact payload. The Run shares no memory with
+// the payload, and an opaque frame keeps a copy of it, so the chunk's
+// buffer is reused.
+func decodeFrame(payload []byte) frameRec {
+	size := int64(frameHeaderSize + len(payload))
+	run, err := DecodeRun(payload)
+	if err != nil || run.SpecHash == "" {
+		// CRC-intact but not decodable by this binary (a kind it does
+		// not register, a spec under a different engine.SpecVersion, or
+		// a record without a cache key): preserved opaquely, not
+		// loaded. Compaction must never destroy intact data a fuller
+		// (or differently-versioned) binary could still read.
+		return frameRec{payload: bytes.Clone(payload), oldSpec: errors.Is(err, engine.ErrSpecVersion), size: size}
+	}
+	return frameRec{run: run, decoded: true, size: size}
 }
 
 // applyPolicy filters frames under pol: age-expired records first, then
@@ -494,7 +581,7 @@ func applyPolicy(frames []frameRec, pol Policy, now time.Time) ([]frameRec, []st
 // scan is scanReader over an in-memory framed region, returning only the
 // decoded runs (tests and fuzzing; a bytes.Reader cannot fail).
 func scan(data []byte) ([]Run, int64, bool) {
-	frames, dropped, dirty, _ := scanReader(bytes.NewReader(data))
+	frames, dropped, dirty, _ := scanReader(bytes.NewReader(data), int64(len(data)))
 	var runs []Run
 	for _, fr := range frames {
 		if fr.decoded {
@@ -549,13 +636,15 @@ func (l *Log) compact(frames []frameRec) error {
 	}
 	var opaque int64
 	for _, fr := range frames {
-		payload := fr.payload
+		buf := fr.payload
 		if fr.decoded {
-			if payload, err = EncodeRun(fr.run); err != nil {
+			if buf, err = encodeFrame(&fr.run); err != nil {
 				return err
 			}
+		} else {
+			buf = frame(buf)
 		}
-		n, err := tmp.Write(frame(payload))
+		n, err := tmp.Write(buf)
 		if err != nil {
 			return err
 		}
@@ -628,10 +717,28 @@ func syncDir(dir string) {
 // frame wraps a payload in the length+CRC frame header.
 func frame(payload []byte) []byte {
 	buf := make([]byte, frameHeaderSize+len(payload))
+	copy(buf[frameHeaderSize:], payload)
+	sealFrame(buf)
+	return buf
+}
+
+// encodeFrame encodes r's frame: the payload is encoded once, behind room
+// left for the frame header, and the header filled in.
+func encodeFrame(r *Run) ([]byte, error) {
+	buf, err := encodeRun(r, frameHeaderSize)
+	if err != nil {
+		return nil, err
+	}
+	sealFrame(buf)
+	return buf, nil
+}
+
+// sealFrame fills in the frame header at the start of buf for the payload
+// that follows it.
+func sealFrame(buf []byte) {
+	payload := buf[frameHeaderSize:]
 	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, castagnoli))
-	copy(buf[frameHeaderSize:], payload)
-	return buf
 }
 
 // Load replays the records Open recovered, in append order, then releases
@@ -656,17 +763,16 @@ func (l *Log) Load(apply func(Run) error) error {
 // the file is cut back to where the record began, so the next append does
 // not land behind a torn frame that recovery would stop at.
 func (l *Log) Append(r Run) error {
-	payload, err := EncodeRun(r)
+	buf, err := encodeFrame(&r)
 	if err != nil {
 		return err
 	}
 	// A frame the reader would refuse must never be written: an oversized
 	// record would not just be lost itself, it would end the recovery
 	// scan and take every record appended after it along.
-	if len(payload) > maxPayload {
-		return fmt.Errorf("store: record of %d bytes exceeds the %d-byte frame limit", len(payload), maxPayload)
+	if n := len(buf) - frameHeaderSize; n > maxPayload {
+		return fmt.Errorf("store: record of %d bytes exceeds the %d-byte frame limit", n, maxPayload)
 	}
-	buf := frame(payload)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
@@ -787,7 +893,7 @@ func (l *Log) compactLocked(force bool) ([]string, error) {
 	if _, err := l.f.Seek(int64(headerSize), io.SeekStart); err != nil {
 		return nil, err
 	}
-	frames, _, dirty, err := scanReader(bufio.NewReaderSize(l.f, 64<<10))
+	frames, _, dirty, err := scanReader(bufio.NewReaderSize(l.f, 64<<10), l.stats.Bytes-int64(headerSize))
 	if err != nil {
 		l.f.Seek(0, io.SeekEnd)
 		return nil, err

@@ -37,12 +37,12 @@ func (v *JobView) AppendJSON(out []byte) ([]byte, error) {
 	if v.Truncated != 0 {
 		out = strconv.AppendInt(append(out, `,"truncated":`...), int64(v.Truncated), 10)
 	}
-	out = appendTime(append(out, `,"created":`...), v.Created, timeType, &err)
+	out = engine.AppendTime(append(out, `,"created":`...), v.Created, timeType, &err)
 	if v.Started != nil {
-		out = appendTime(append(out, `,"started":`...), *v.Started, timePtrType, &err)
+		out = engine.AppendTime(append(out, `,"started":`...), *v.Started, timePtrType, &err)
 	}
 	if v.Finished != nil {
-		out = appendTime(append(out, `,"finished":`...), *v.Finished, timePtrType, &err)
+		out = engine.AppendTime(append(out, `,"finished":`...), *v.Finished, timePtrType, &err)
 	}
 	if err != nil {
 		return out[:start], err
@@ -62,22 +62,6 @@ var (
 	timePtrType = reflect.TypeFor[*time.Time]()
 	specType    = reflect.TypeFor[Spec]()
 )
-
-// appendTime appends t as encoding/json writes a member of type typ, a
-// time.Time or *time.Time. encoding/json fails on a time RFC 3339 cannot
-// write; appendTime then sets *err to the error it returns, unless *err
-// is already set.
-func appendTime(out []byte, t time.Time, typ reflect.Type, err *error) []byte {
-	text, terr := t.AppendText(append(out, '"'))
-	if terr != nil {
-		if *err == nil {
-			_, terr = t.MarshalJSON()
-			*err = &json.MarshalerError{Type: typ, Err: terr}
-		}
-		return out
-	}
-	return append(text, '"')
-}
 
 // UnmarshalJSON decodes a view as encoding/json decodes it into a JobView
 // without this method. The members AppendJSON writes, in the forms it
