@@ -29,6 +29,7 @@ import (
 	"repro/internal/assign"
 	"repro/internal/core"
 	"repro/internal/exact"
+	"repro/internal/gossip"
 	"repro/internal/markov"
 	"repro/internal/papereval"
 	"repro/internal/rng"
@@ -50,13 +51,22 @@ var benchScale = papereval.Scale{
 // runSeries executes cfg once per iteration and reports the mean round
 // count as the "rounds" metric.
 func runSeries(b *testing.B, mk func(seed uint64) consensus.Config) {
+	runs(b, func(seed uint64) (int, int64) {
+		res := consensus.Run(mk(seed))
+		return res.Rounds, res.WinnerCount
+	})
+}
+
+// runs calls run once per iteration, with seeds 1, 2, ..., and reports the
+// mean of the rounds and winner counts it returns.
+func runs(b *testing.B, run func(seed uint64) (rounds int, winnerCount int64)) {
 	b.Helper()
 	var rounds, winners int64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := consensus.Run(mk(uint64(i + 1)))
-		rounds += int64(res.Rounds)
-		winners += res.WinnerCount
+		r, w := run(uint64(i + 1))
+		rounds += int64(r)
+		winners += w
 	}
 	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 	b.ReportMetric(float64(winners)/float64(b.N), "agree/op")
@@ -344,21 +354,23 @@ func BenchmarkThm20Phases(b *testing.B) {
 
 func BenchmarkGossipConformance(b *testing.B) {
 	const n = 2_048
-	for _, engine := range []struct {
-		name string
-		e    consensus.Engine
-	}{{"gossip", consensus.EngineGossip}, {"ball", consensus.EngineBall}} {
-		b.Run(engine.name, func(b *testing.B) {
-			runSeries(b, func(seed uint64) consensus.Config {
-				return consensus.Config{
-					Values: consensus.UniformRandom(n, 8, seed),
-					Rule:   rules.Median{},
-					Seed:   seed,
-					Engine: engine.e,
-				}
-			})
+	b.Run("gossip", func(b *testing.B) {
+		runs(b, func(seed uint64) (int, int64) {
+			values := assign.Config(consensus.UniformRandom(n, 8, seed))
+			res := gossip.New(values, rules.Median{}, nil, seed, gossip.Options{}).Run()
+			return res.Rounds, res.WinnerCount
 		})
-	}
+	})
+	b.Run("ball", func(b *testing.B) {
+		runSeries(b, func(seed uint64) consensus.Config {
+			return consensus.Config{
+				Values: consensus.UniformRandom(n, 8, seed),
+				Rule:   rules.Median{},
+				Seed:   seed,
+				Engine: consensus.EngineBall,
+			}
+		})
+	})
 }
 
 // --- E13: Lemma 17 — fineness coupling under shared randomness ------------

@@ -23,7 +23,7 @@
 //
 // # Engines
 //
-// Three engines execute the same protocol contract:
+// Two engines execute the same protocol contract:
 //
 //   - EngineBall: exact per-process simulation (supports every adversary
 //     hook, observers, parallel execution).
@@ -35,14 +35,13 @@
 //     its transition row, O(k^(s+1)) for s samples per process, and large
 //     supports sample per process. On two values a median round is two
 //     binomials, so n may reach 2^62.
-//   - EngineGossip: full message-passing simulation of the paper's network
-//     model (private peer numberings, per-round request caps, adversarially
-//     selected drops).
 //
 // EngineTwoBin is the count engine restricted to at most two initial
 // values, kept so existing specs naming it still run. EngineAuto picks the
 // count engine unless the adversary has no count view, then the ball
-// engine.
+// engine. The paper's full message-passing network model (private peer
+// numberings, per-round request caps, adversarially selected drops) is the
+// "gossip" spec kind, run through service.Execute or a service.
 package consensus
 
 import (
@@ -50,7 +49,6 @@ import (
 
 	"repro/internal/assign"
 	"repro/internal/core"
-	"repro/internal/gossip"
 	"repro/internal/model"
 	"repro/internal/rng"
 )
@@ -95,8 +93,6 @@ const (
 	// EngineTwoBin is EngineCount on at most two initial values, kept so
 	// existing specs naming it still run; more values panic.
 	EngineTwoBin
-	// EngineGossip is the message-passing network simulator.
-	EngineGossip
 )
 
 // Timing selects when the adversary acts (see the paper's two models).
@@ -138,24 +134,9 @@ type Config struct {
 	// Workers parallelises the ball engine (0/1 = sequential).
 	Workers int
 	// Observer, when non-nil, receives the per-round distribution (every
-	// engine, gossip included). Slices are reused across calls.
+	// engine). Slices are reused across calls.
 	Observer func(round int, vals []Value, counts []int64)
-	// Gossip configures EngineGossip (ignored otherwise).
-	Gossip GossipConfig
 }
-
-// GossipConfig carries the message-passing model's knobs.
-type GossipConfig struct {
-	// CapFactor scales the per-round request capacity ⌈CapFactor·log₂ n⌉;
-	// 0 = default 4; negative = unlimited.
-	CapFactor float64
-	// Selector decides which requests saturated processes answer
-	// (nil = arrival order). See gossipx for adversarial selectors.
-	Selector DropSelector
-}
-
-// DropSelector re-exports the gossip drop-selection contract.
-type DropSelector = gossip.DropSelector
 
 // Result reports the outcome of a run.
 type Result struct {
@@ -169,15 +150,6 @@ type Result struct {
 	WinnerCount int64
 	// StableSince is the first round of the final stability window.
 	StableSince int
-	// Messages holds gossip-engine telemetry (zero for other engines).
-	Messages MessageStats
-}
-
-// MessageStats reports message-level telemetry from EngineGossip.
-type MessageStats struct {
-	RequestsSent    int64
-	RequestsDropped int64
-	MaxInDegree     int
 }
 
 // String renders the result compactly.
@@ -200,25 +172,6 @@ func Run(cfg Config) Result {
 		return fromCore(core.NewBallEngine(initial, cfg.Rule, cfg.Adversary, cfg.Seed, coreOpts(cfg)).Run())
 	case EngineCount, EngineTwoBin:
 		return RunDist(cfg, initial.Dist())
-	case EngineGossip:
-		nw := gossip.New(initial, cfg.Rule, cfg.Adversary, cfg.Seed, gossip.Options{
-			CapFactor:   cfg.Gossip.CapFactor,
-			Selector:    cfg.Gossip.Selector,
-			MaxRounds:   cfg.MaxRounds,
-			AlmostSlack: cfg.AlmostSlack,
-			Window:      cfg.Window,
-			Observer:    cfg.Observer,
-		})
-		res := nw.Run()
-		return Result{
-			Rounds: res.Rounds, Reason: res.Reason,
-			Winner: res.Winner, WinnerCount: res.WinnerCount,
-			Messages: MessageStats{
-				RequestsSent:    res.Stats.RequestsSent,
-				RequestsDropped: res.Stats.RequestsDropped,
-				MaxInDegree:     res.Stats.MaxInDegree,
-			},
-		}
 	default:
 		panic("consensus: unknown engine")
 	}
@@ -235,8 +188,8 @@ type Dist = assign.Dist
 // EngineTwoBin) runs directly on the distribution in O(m) memory. It is
 // the one place that checks EngineTwoBin's at most two values. EngineAuto
 // resolves exactly as in Run; when it (or an explicit cfg.Engine) lands on
-// a per-process engine (EngineBall, EngineGossip), the distribution is
-// expanded to the O(n) vector, so the contract stays total.
+// the per-process EngineBall, the distribution is expanded to the O(n)
+// vector, so the contract stays total.
 func RunDist(cfg Config, d Dist) Result {
 	if len(d.Vals) == 0 {
 		panic("consensus: RunDist with an empty distribution")

@@ -28,7 +28,7 @@ func TestRunQuickstart(t *testing.T) {
 }
 
 func TestRunEachEngineConverges(t *testing.T) {
-	for _, eng := range []Engine{EngineBall, EngineCount, EngineGossip} {
+	for _, eng := range []Engine{EngineBall, EngineCount} {
 		res := Run(Config{
 			Values: EvenBlocks(300, 3),
 			Rule:   rules.Median{},
@@ -104,7 +104,7 @@ func TestRunAutoPicksEngine(t *testing.T) {
 			}
 		}
 	}
-	for _, e := range []Engine{EngineBall, EngineCount, EngineTwoBin, EngineGossip} {
+	for _, e := range []Engine{EngineBall, EngineCount, EngineTwoBin} {
 		if got := pick(e, nil); got != e {
 			t.Fatalf("explicit %s resolved to %s", e, got)
 		}
@@ -214,21 +214,6 @@ func TestRunWithAdversaryAlmostStable(t *testing.T) {
 	}
 	if res.WinnerCount < 2350 {
 		t.Fatalf("winner count %d", res.WinnerCount)
-	}
-}
-
-func TestRunGossipTelemetry(t *testing.T) {
-	res := Run(Config{
-		Values: AllDistinct(200),
-		Rule:   rules.Median{},
-		Seed:   3,
-		Engine: EngineGossip,
-	})
-	if res.Messages.RequestsSent == 0 {
-		t.Fatal("no gossip telemetry")
-	}
-	if res.Reason != StopConsensus {
-		t.Fatalf("%+v", res)
 	}
 }
 

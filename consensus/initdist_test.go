@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/assign"
+	"repro/internal/initspec"
 	"repro/rules"
 )
 
@@ -43,7 +44,7 @@ func TestBuildInitDistDeterministicKinds(t *testing.T) {
 				t.Fatalf("%s bin %d: (%d, %d), want (%d, %d)", s.Kind, i, d.Vals[i], d.Counts[i], want.Vals[i], want.Counts[i])
 			}
 		}
-		if k := InitSupport(s); k > 0 && int64(len(d.Vals)) > k {
+		if k := initspec.Support(s); k > 0 && int64(len(d.Vals)) > k {
 			t.Fatalf("%s: support bound %d below the real support %d", s.Kind, k, len(d.Vals))
 		}
 	}

@@ -8,10 +8,10 @@ import (
 )
 
 // This file is the package's registration surface: serializable names for
-// engines and adversary timings, and a name→generator registry for initial
-// states. It exists so the service layer (package service) can reconstruct a
-// Config from a JSON spec without hard-coding knowledge of every engine and
-// initial-state family.
+// engines and adversary timings, and the builders of the name→generator
+// registry of initial states. It exists so the service layer (package
+// service) can reconstruct a Config from a JSON spec without hard-coding
+// knowledge of every engine and initial-state family.
 
 // engineNames maps serialized engine names to Engine values. "" is accepted
 // as EngineAuto so omitted spec fields behave like zero-valued Config fields.
@@ -20,7 +20,6 @@ var engineNames = map[string]Engine{
 	"ball":   EngineBall,
 	"count":  EngineCount,
 	"twobin": EngineTwoBin,
-	"gossip": EngineGossip,
 }
 
 // EngineByName resolves a serialized engine name ("" means "auto").
@@ -68,22 +67,12 @@ func TimingByName(name string) (Timing, error) {
 	}
 }
 
-// TimingName returns the serialized name of a timing.
-func TimingName(t Timing) string { return t.String() }
-
 // InitSpec is the serializable description of an initial state. It is an
 // alias of initspec.Spec — the registry itself lives in the leaf package
 // internal/initspec so that internal/gossip (which this package imports)
 // can resolve init specs without an import cycle; this package remains the
 // public surface.
 type InitSpec = initspec.Spec
-
-// InitGenerator materializes an initial state from its spec (alias of
-// initspec.Generator; see that type for the Check/Normalize/Size hooks).
-type InitGenerator = initspec.Generator
-
-// RegisterInit adds a named initial-state generator, panicking on duplicates.
-func RegisterInit(kind string, g InitGenerator) { initspec.Register(kind, g) }
 
 // BuildInit materializes the initial state described by s.
 func BuildInit(s InitSpec) ([]Value, error) { return initspec.Build(s) }
@@ -92,23 +81,6 @@ func BuildInit(s InitSpec) ([]Value, error) { return initspec.Build(s) }
 // O(m) count-level initial state RunDist consumes — without building the
 // per-process vector when the generator is count-native.
 func BuildInitDist(s InitSpec) (Dist, error) { return initspec.BuildDist(s) }
-
-// InitSupport reports an upper bound on the number of distinct values the
-// init spec realizes, computed from the spec alone (no O(n) pre-pass).
-// 0 means unknown (unregistered kind or no Support hook).
-func InitSupport(s InitSpec) int64 { return initspec.Support(s) }
-
-// CheckInit validates an init spec without materializing the state when the
-// generator provides a Check, falling back to generate-and-discard.
-func CheckInit(s InitSpec) error { return initspec.Check(s) }
-
-// NormalizeInit rewrites an init spec to its canonical form. Unknown kinds
-// and generators without a Normalize hook pass through unchanged.
-func NormalizeInit(s InitSpec) InitSpec { return initspec.Normalize(s) }
-
-// InitSize reports the population an init spec would materialize, without
-// allocating it. 0 means unknown (unregistered kind or no Size hook).
-func InitSize(s InitSpec) int64 { return initspec.Size(s) }
 
 // InitKinds returns the registered init kinds in sorted order.
 func InitKinds() []string { return initspec.Kinds() }

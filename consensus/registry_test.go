@@ -30,8 +30,8 @@ func TestTimingNames(t *testing.T) {
 		if name == "" {
 			want = "before-round"
 		}
-		if TimingName(tm) != want {
-			t.Fatalf("timing %q round-trips to %q", name, TimingName(tm))
+		if tm.String() != want {
+			t.Fatalf("timing %q round-trips to %q", name, tm)
 		}
 	}
 	if _, err := TimingByName("never"); err == nil {

@@ -220,14 +220,6 @@ type medianEngine struct{}
 func (medianEngine) NewPayload() engine.Payload { return &Spec{} }
 
 func (medianEngine) Descriptor() engine.Descriptor {
-	// The gossip engine is a spec kind of its own; the median kind only
-	// exposes the balls-and-bins simulators.
-	engines := make([]string, 0, 4)
-	for _, name := range EngineNames() {
-		if name != "gossip" {
-			engines = append(engines, name)
-		}
-	}
 	params := engine.ScalarInitParams(initspec.Kinds())
 	params = append(params, engine.RuleRefParams(rules.Names(), "")...)
 	params = append(params, engine.AdversaryRefParams(adversary.Names())...)
@@ -235,7 +227,7 @@ func (medianEngine) Descriptor() engine.Descriptor {
 		engine.Param{Name: "almost_slack", Type: "int", Min: engine.Bound(0), Doc: "almost-stable slack (0 = off)"},
 		engine.Param{Name: "window", Type: "int", Min: engine.Bound(0), Default: "8", Doc: "stability window"},
 		engine.Param{Name: "timing", Type: "string", Default: "before-round", Enum: []string{"before-round", "after-choices"}, Doc: "adversary hook point"},
-		engine.Param{Name: "engine", Type: "string", Default: "auto", Enum: engines, Doc: "balls-and-bins simulator"},
+		engine.Param{Name: "engine", Type: "string", Default: "auto", Enum: EngineNames(), Doc: "balls-and-bins simulator"},
 		engine.Param{Name: "workers", Type: "int", Min: engine.Bound(0), Doc: "ball-engine parallelism (0/1 = sequential)"},
 	)
 	return engine.Descriptor{

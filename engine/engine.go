@@ -9,13 +9,13 @@
 //     materialized size for admission control, and runs;
 //   - every run reports one Record per executed round through the
 //     RunContext's Observe hook — the hook doubles as the cancellation
-//     point: Execute's observer panics with a private sentinel when the
+//     point: Spec.Run's observer panics with a private sentinel when the
 //     cancel flag is set, unwinding the engine mid-simulation;
 //   - seedless specs derive their seed from the canonical spec hash
 //     (DeriveSeed), so every run is deterministic and cacheable.
 //
 // The Spec envelope (kind + seed + max_rounds + the family payload) and its
-// JSON codec, canonical hash and Execute dispatcher all resolve the family
+// JSON codec, canonical hash, Admit and Run all resolve the family
 // through the registry — adding a simulation family to the service is a
 // Register call, not an edit to a switch. consensus (median), multidim,
 // robust and internal/gossip register themselves in their package init.
@@ -64,7 +64,8 @@ type Result struct {
 	Winner      int64  `json:"winner"`
 	WinnerCount int64  `json:"winner_count"`
 	StableSince int    `json:"stable_since"`
-	// Seed is the effective run seed; Execute fills it in, engines need not.
+	// Seed is the effective run seed; Spec.Run fills it in, engines need
+	// not.
 	Seed uint64 `json:"seed"`
 	// Messages holds message-level telemetry (gossip kind).
 	Messages *MessageStats `json:"messages,omitempty"`
@@ -148,20 +149,22 @@ type RunContext struct {
 	// Observe receives one Record per executed round, plus one for the
 	// initial state. It is never nil and MUST be called once per round:
 	// it is the run's cancellation point — it panics to unwind the engine
-	// when the run is cancelled (Execute recovers the sentinel). Engines
+	// when the run is cancelled (Spec.Run recovers the sentinel). Engines
 	// must not swallow panics raised inside it.
 	Observe func(Record)
 }
 
 // Payload is a family's typed spec body — everything below the Spec
 // envelope's shared kind/seed/max_rounds fields. A payload must be a
-// pointer to a plain JSON-serializable struct: the codec decodes into it
-// strictly (unknown fields are errors) and clones it by marshal round-trip.
+// pointer to a plain JSON-serializable struct whose fields, and the fields
+// of every struct it holds, are all exported: the codec decodes into it
+// strictly (unknown fields are errors), and Spec.Clone copies it
+// structurally, field by exported field.
 type Payload interface {
 	// Normalize rewrites the payload in place to its canonical form:
 	// defaulted fields made explicit, empty parameter maps dropped — so
 	// equivalent specs share one canonical encoding (and hash). It is
-	// only called on a fresh clone, never on a caller-held payload.
+	// only called on a fresh Clone, never on a caller-held payload.
 	Normalize()
 	// Validate checks that every registry reference resolves and every
 	// parameter is in range, without materializing the O(n) state — it
@@ -208,34 +211,23 @@ func LeaderRecord(round int, n int64, vals, counts []int64) Record {
 	return rec
 }
 
-// ErrCancelled is returned by Execute when the cancelled callback fired.
+// ErrCancelled is returned by Spec.Run when the cancelled callback fired.
 var ErrCancelled = errors.New("engine: run cancelled")
 
 // cancelSignal is the panic sentinel the observer uses to unwind a running
-// engine; Execute recovers it. The engines have no cancellation hook of
+// engine; Spec.Run recovers it. The engines have no cancellation hook of
 // their own, but every family's engine calls its observer once per round,
 // which is exactly the granularity a cancel needs.
 type cancelSignal struct{}
 
-// Execute runs a spec of any registered kind synchronously. observe, when
-// non-nil, receives one Record per executed round. cancelled, when non-nil,
-// is polled once per round; returning true aborts the run with ErrCancelled.
-// The spec is normalized and validated first, as Admit does with no size
-// bound, so a spec that fails validation fails here with Admit's error.
-// Any engine panic (e.g. an invalid engine/state combination that
-// Validate cannot see) is converted into an error so a bad spec can never
-// take down the serving process.
-func Execute(spec Spec, observe func(Record), cancelled func() bool) (res Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(cancelSignal); ok {
-				err = ErrCancelled
-				return
-			}
-			err = fmt.Errorf("engine: run panicked: %v", r)
-		}
-	}()
-	if spec, err = spec.admit(0); err != nil {
+// Execute runs a spec of any registered kind synchronously: it admits the
+// spec as Admit does with no size bound, so a spec that fails validation
+// fails here with Admit's error, and runs it with Run, at its own seed or,
+// for a seedless spec, the seed derived from its canonical hash. observe
+// and cancelled are Run's.
+func Execute(spec Spec, observe func(Record), cancelled func() bool) (Result, error) {
+	spec, err := spec.admit(0)
+	if err != nil {
 		return Result{}, err
 	}
 	seed := spec.Seed
@@ -247,9 +239,30 @@ func Execute(spec Spec, observe func(Record), cancelled func() bool) (res Result
 		}
 		seed = DeriveSeed(HashBytes(canonical))
 	}
+	return spec.Run(seed, observe, cancelled)
+}
+
+// Run executes a spec Admit returned, as it is, with the effective seed:
+// cmp.Or(s.Seed, DeriveSeed(hash)) for its canonical hash. It neither
+// normalizes nor validates. observe, when non-nil, receives one Record per
+// executed round. cancelled, when non-nil, is polled once per round;
+// returning true aborts the run with ErrCancelled. Any engine panic (e.g.
+// an invalid engine/state combination that Validate cannot see) is
+// converted into an error so a bad spec can never take down the serving
+// process.
+func (s Spec) Run(seed uint64, observe func(Record), cancelled func() bool) (res Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(cancelSignal); ok {
+				err = ErrCancelled
+				return
+			}
+			err = fmt.Errorf("engine: run panicked: %v", r)
+		}
+	}()
 	ctx := RunContext{
 		Seed:      seed,
-		MaxRounds: spec.MaxRounds,
+		MaxRounds: s.MaxRounds,
 		Observe: func(rec Record) {
 			if cancelled != nil && cancelled() {
 				panic(cancelSignal{})
@@ -259,7 +272,7 @@ func Execute(spec Spec, observe func(Record), cancelled func() bool) (res Result
 			}
 		},
 	}
-	res, err = spec.Payload.Run(ctx)
+	res, err = s.Payload.Run(ctx)
 	if err != nil {
 		return Result{}, err
 	}

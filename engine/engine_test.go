@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/engine"
@@ -19,13 +20,19 @@ type fakeSpec struct {
 	Rate   float64 `json:"rate,omitempty"`
 }
 
+// fakeNormalizes and fakeValidates count fakeSpec's Normalize and
+// Validate calls.
+var fakeNormalizes, fakeValidates atomic.Int64
+
 func (f *fakeSpec) Normalize() {
+	fakeNormalizes.Add(1)
 	if f.Rounds == 0 {
 		f.Rounds = 2
 	}
 }
 
 func (f *fakeSpec) Validate() error {
+	fakeValidates.Add(1)
 	if f.N <= 0 {
 		return fmt.Errorf("fake: n must be positive")
 	}
@@ -268,6 +275,30 @@ func TestAdmit(t *testing.T) {
 	}
 }
 
+// TestRunAdmittedSpec: Admit normalizes and validates the payload once,
+// and Run executes what it returned as it is, at the seed it is given,
+// calling neither.
+func TestRunAdmittedSpec(t *testing.T) {
+	normalizes, validates := fakeNormalizes.Load(), fakeValidates.Load()
+	spec, hash, err := engine.Spec{Kind: "fake", Payload: &fakeSpec{N: 3}}.Admit(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, v := fakeNormalizes.Load()-normalizes, fakeValidates.Load()-validates; n != 1 || v != 1 {
+		t.Fatalf("Admit normalized %d and validated %d times, want once each", n, v)
+	}
+	res, err := spec.Run(engine.DeriveSeed(hash), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds != 2 || res.Seed != engine.DeriveSeed(hash) {
+		t.Fatalf("Run gave %+v, want the normalized 2 rounds at the derived seed", res)
+	}
+	if n, v := fakeNormalizes.Load()-normalizes, fakeValidates.Load()-validates; n != 1 || v != 1 {
+		t.Fatalf("Run normalized %d and validated %d more times, want none", n-1, v-1)
+	}
+}
+
 func TestSpecNormalizeDoesNotMutateCaller(t *testing.T) {
 	p := &fakeSpec{N: 10}
 	spec := engine.Spec{Payload: p}
@@ -336,9 +367,12 @@ func TestExecuteObservesAndCancels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := seedless.EffectiveSeed()
-	if res.Seed != want || res.Seed == 0 {
-		t.Fatalf("derived seed %d, want %d", res.Seed, want)
+	hash, err := seedless.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := engine.DeriveSeed(hash); res.Seed != want || res.Seed == 0 {
+		t.Fatalf("derived seed %d, want %d", res.Seed, engine.DeriveSeed(hash))
 	}
 	// Cancellation unwinds through the observer after a bounded number of
 	// rounds.

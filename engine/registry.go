@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 )
@@ -19,13 +20,15 @@ type Engine interface {
 	NewPayload() Payload
 }
 
-// entry is one registered family plus its axis set, captured once at
-// Register time so the per-cell batch path never rebuilds descriptors
-// (descriptor enums may be recomputed freely, but the axis set of a kind
-// is static).
+// entry is one registered family plus its axis set and payload type,
+// captured once at Register time so the per-cell batch path never rebuilds
+// descriptors and no Spec method allocates a payload to learn its type
+// (descriptor enums may be recomputed freely, but the axis set and payload
+// type of a kind are static).
 type entry struct {
-	engine Engine
-	axes   map[string]bool
+	engine  Engine
+	axes    map[string]bool
+	payload reflect.Type
 }
 
 var (
@@ -65,12 +68,18 @@ func Register(e Engine) {
 	for _, a := range d.Axes {
 		axes[a] = true
 	}
-	registry[d.Kind] = entry{engine: e, axes: axes}
+	registry[d.Kind] = entry{engine: e, axes: axes, payload: reflect.TypeOf(e.NewPayload())}
 }
 
 // Lookup resolves a kind name. "" resolves to the default kind (the one
 // whose Descriptor sets Default), so omitted spec kinds keep working.
 func Lookup(kind string) (Engine, error) {
+	e, err := lookup(kind)
+	return e.engine, err
+}
+
+// lookup is Lookup returning the whole registry entry.
+func lookup(kind string) (entry, error) {
 	regMu.RLock()
 	defer regMu.RUnlock()
 	if kind == "" {
@@ -78,21 +87,9 @@ func Lookup(kind string) (Engine, error) {
 	}
 	e, ok := registry[kind]
 	if !ok {
-		return nil, fmt.Errorf("engine: unknown spec kind %q (known: %v)", kind, kindsLocked())
+		return entry{}, fmt.Errorf("engine: unknown spec kind %q (known: %v)", kind, kindsLocked())
 	}
-	return e.engine, nil
-}
-
-// axisAllowed reports whether the kind registered the named batch axis,
-// from the set captured at Register time — the per-cell hot path of batch
-// expansion, so no descriptor is rebuilt here.
-func axisAllowed(kind, param string) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	if kind == "" {
-		kind = defaultKind
-	}
-	return registry[kind].axes[param]
+	return e, nil
 }
 
 // DefaultKind returns the kind "" normalizes to ("" if none is registered).

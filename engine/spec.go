@@ -49,7 +49,7 @@ var ErrSpecVersion = errors.New("engine: unsupported spec version")
 //
 // — and decoding is strict: an unknown field (for the spec's kind) is an
 // error, never silently dropped. Decode, Normalize, Validate,
-// MaterializedSize, the canonical hash and Execute all dispatch through the
+// MaterializedSize, the canonical hash and Run all dispatch through the
 // registry; no code in this package knows any family by name.
 type Spec struct {
 	// Kind selects the simulation family ("" = the registry's default
@@ -604,80 +604,123 @@ func nilPayload(p Payload) bool {
 	return false
 }
 
-// payloadFor resolves s.Payload as e's payload type. The Kind/Payload
-// pair is a caller contract: a payload whose concrete type is not the
-// kind's own is rejected outright — never converted through the codec,
-// where a foreign family whose JSON fields happen to be a subset of the
-// kind's would silently run the wrong simulation. A nil payload, typed or
-// not, resolves to the family's zero payload.
-func (s Spec) payloadFor(e Engine) (Payload, error) {
-	p := e.NewPayload()
+// payloadFor resolves s.Payload as the payload of e's kind. The
+// Kind/Payload pair is a caller contract: a payload whose concrete type is
+// not the kind's own, as captured at Register, is rejected outright —
+// never converted through the codec, where a foreign family whose JSON
+// fields happen to be a subset of the kind's would silently run the wrong
+// simulation. A nil payload, typed or not, resolves to a fresh zero
+// payload of the kind.
+func (s Spec) payloadFor(e entry) (Payload, error) {
 	if nilPayload(s.Payload) {
-		return p, nil
+		return e.engine.NewPayload(), nil
 	}
-	if reflect.TypeOf(s.Payload) != reflect.TypeOf(p) {
+	if reflect.TypeOf(s.Payload) != e.payload {
 		return nil, fmt.Errorf("engine: payload %T does not belong to spec kind %s", s.Payload, s.kind())
 	}
 	return s.Payload, nil
 }
 
-// Clone returns a deep copy: the payload is round-tripped through its own
-// JSON encoding, so patching one batch cell can never leak into the
-// template or a sibling cell. A payload the kind's codec cannot decode
-// strictly (a foreign family's payload) is left in place, shared — it can
-// never pass Validate, which every Clone consumer runs before using the
-// copy, so it must not be silently truncated into a valid-looking spec of
-// the wrong family here.
+// Clone returns a deep copy: every pointer, slice and map reachable from
+// the payload through exported fields is copied, structurally and by
+// reflection, so patching one batch cell can never leak into the template
+// or a sibling cell. It cannot fail, and it copies a foreign family's
+// payload as faithfully as the kind's own; Validate is what rejects that.
+// A payload is a pointer (see Payload); any other value is left as it is.
 func (s Spec) Clone() Spec {
-	e, err := Lookup(s.kind())
-	if err != nil || nilPayload(s.Payload) {
-		return s
+	if v := reflect.ValueOf(s.Payload); v.Kind() == reflect.Pointer && !v.IsNil() {
+		s.Payload = clonePointer(v).Interface().(Payload)
 	}
-	buf, err := json.Marshal(s.Payload)
-	if err != nil {
-		return s
-	}
-	p := e.NewPayload()
-	if strictDecode(buf, p) != nil {
-		return s
-	}
-	s.Payload = p
 	return s
+}
+
+// clonePointer returns a pointer to a deep copy of what the non-nil
+// pointer p points to.
+func clonePointer(p reflect.Value) reflect.Value {
+	c := reflect.New(p.Type().Elem())
+	c.Elem().Set(p.Elem())
+	deepen(c.Elem())
+	return c
+}
+
+// deepen gives each pointer, slice and map reachable from the settable v
+// through exported fields a copy of its own, in place. Unexported fields
+// keep what the struct copy gave them, which is why every field of a
+// payload must be exported (the conformance suite checks it).
+func deepen(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			v.Set(clonePointer(v))
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if v.Type().Field(i).IsExported() {
+				deepen(v.Field(i))
+			}
+		}
+	case reflect.Slice:
+		if v.IsNil() {
+			return
+		}
+		c := reflect.MakeSlice(v.Type(), v.Len(), v.Len())
+		reflect.Copy(c, v)
+		if holdsReferences(v.Type().Elem()) {
+			for i := range c.Len() {
+				deepen(c.Index(i))
+			}
+		}
+		v.Set(c)
+	case reflect.Map:
+		if v.IsNil() {
+			return
+		}
+		c := reflect.MakeMapWithSize(v.Type(), v.Len())
+		key, elem := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+		for it := v.MapRange(); it.Next(); {
+			key.SetIterKey(it)
+			elem.SetIterValue(it)
+			deepen(elem)
+			c.SetMapIndex(key, elem)
+		}
+		v.Set(c)
+	}
+}
+
+// holdsReferences reports whether deepen has anything to copy in a value
+// of type t.
+func holdsReferences(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Struct, reflect.Slice, reflect.Map:
+		return true
+	}
+	return false
 }
 
 // Normalize returns a copy with the kind made explicit, the spec-codec
 // version stamped (V = SpecVersion, the "v" of the canonical encoding) and
-// the payload rewritten to its canonical form (defaulted fields explicit,
-// empty parameter maps dropped), so equivalent specs share one canonical
-// encoding. Specs of unknown kinds pass through otherwise untouched —
-// Validate, not Normalize, rejects them — and so does a payload Clone
-// cannot copy (one holding a NaN, say): the caller's payload is never
-// rewritten.
+// a Clone of the payload rewritten to its canonical form (defaulted fields
+// explicit, empty parameter maps dropped), so equivalent specs share one
+// canonical encoding; the caller's payload is never rewritten. Specs of
+// unknown kinds, and payloads of another kind's type, pass through
+// otherwise untouched — Validate, not Normalize, rejects them.
 func (s Spec) Normalize() Spec {
 	kind := s.kind()
-	e, err := Lookup(kind)
+	s.Kind, s.V = kind, SpecVersion
+	e, err := lookup(kind)
 	if err != nil {
-		s.Kind = kind
-		s.V = SpecVersion
 		return s
 	}
 	p, err := s.payloadFor(e)
 	if err != nil {
-		// A foreign payload cannot be canonicalized; leave it for
-		// Validate to reject.
-		s.Kind = kind
-		s.V = SpecVersion
 		return s
 	}
 	if p == s.Payload {
-		// Never normalize a caller-held payload in place: one that Clone
-		// cannot copy is left as it is, for Validate to judge.
-		if p = s.Clone().Payload; p == s.Payload {
-			return Spec{Kind: kind, Seed: s.Seed, MaxRounds: s.MaxRounds, Payload: p, V: SpecVersion}
-		}
+		p = s.Clone().Payload
 	}
 	p.Normalize()
-	return Spec{Kind: kind, Seed: s.Seed, MaxRounds: s.MaxRounds, Payload: p, V: SpecVersion}
+	s.Payload = p
+	return s
 }
 
 // Validate checks that the kind is registered, the payload belongs to it,
@@ -691,7 +734,7 @@ func (s Spec) Validate() error {
 	if s.V != 0 && s.V != SpecVersion {
 		return fmt.Errorf("%w: spec has v%d, this binary speaks v%d", ErrSpecVersion, s.V, SpecVersion)
 	}
-	e, err := Lookup(s.kind())
+	e, err := lookup(s.kind())
 	if err != nil {
 		return err
 	}
@@ -705,7 +748,7 @@ func (s Spec) Validate() error {
 // MaterializedSize reports the payload's MaterializedSize, the quantity
 // Admit bounds. 0 means the kind or payload is unknown.
 func (s Spec) MaterializedSize() int64 {
-	e, err := Lookup(s.kind())
+	e, err := lookup(s.kind())
 	if err != nil {
 		return 0
 	}
@@ -776,18 +819,6 @@ func DeriveSeed(hash string) uint64 {
 	return rng.Mix64(binary.LittleEndian.Uint64(sum[:8]))
 }
 
-// EffectiveSeed returns the seed a run of this spec will actually use.
-func (s Spec) EffectiveSeed() (uint64, error) {
-	if s.Seed != 0 {
-		return s.Seed, nil
-	}
-	h, err := s.Hash()
-	if err != nil {
-		return 0, err
-	}
-	return DeriveSeed(h), nil
-}
-
 // ApplyAxis patches the named sweep parameter: the shared envelope axes
 // ("seed", "max_rounds") directly, everything else through the payload's
 // AxisApplier — the name must be one of the kind's Descriptor().Axes.
@@ -808,11 +839,11 @@ func (s *Spec) ApplyAxis(param string, v float64) error {
 		s.MaxRounds = int(mr)
 		return nil
 	}
-	e, err := Lookup(s.kind())
+	e, err := lookup(s.kind())
 	if err != nil {
 		return err
 	}
-	if !axisAllowed(s.kind(), param) {
+	if !e.axes[param] {
 		return fmt.Errorf("engine: kind %s has no batch axis %q", s.kind(), param)
 	}
 	p, err := s.payloadFor(e)
@@ -846,7 +877,8 @@ func (s Spec) AxisOK(param string) bool {
 	if param == "seed" || param == "max_rounds" {
 		return true
 	}
-	return axisAllowed(s.kind(), param)
+	e, err := lookup(s.kind())
+	return err == nil && e.axes[param]
 }
 
 // intAxis rejects non-integral axis values for integer parameters — shared

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"repro/adversary"
+	"repro/engine"
 	"repro/internal/assign"
 	"repro/internal/core"
+	"repro/internal/initspec"
 	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -221,6 +223,38 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 	if st.MaxInDegree < 1 {
 		t.Fatal("no in-degree recorded")
+	}
+}
+
+// TestKindRunsTheNetwork: the gossip kind runs the network New builds
+// from its init at the run seed, converges as it does, and reports its
+// Stats as the result's message telemetry.
+func TestKindRunsTheNetwork(t *testing.T) {
+	for _, c := range []struct {
+		init initspec.Spec
+		seed uint64
+	}{
+		{initspec.Spec{Kind: "distinct", N: 200}, 3},
+		{initspec.Spec{Kind: "evenblocks", N: 300, M: 3}, 7},
+	} {
+		res, err := engine.Execute(engine.Spec{Kind: "gossip", Seed: c.seed, Payload: &Spec{Init: c.init}}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		values, err := initspec.Build(c.init)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw := New(assign.Config(values), rules.Median{}, nil, c.seed, Options{})
+		out := nw.Run()
+		st := nw.Stats()
+		want := engine.MessageStats{RequestsSent: st.RequestsSent, RequestsDropped: st.RequestsDropped, MaxInDegree: st.MaxInDegree}
+		if res.Reason != model.StopConsensus.String() || res.Rounds != out.Rounds || res.Winner != out.Winner || res.WinnerCount != out.WinnerCount {
+			t.Fatalf("%s init: kind gave %+v, network %+v", c.init.Kind, res, out)
+		}
+		if res.Messages == nil || res.Messages.RequestsSent == 0 || *res.Messages != want {
+			t.Fatalf("%s init: telemetry %+v, network stats %+v", c.init.Kind, res.Messages, want)
+		}
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package initspec is the registry of serializable scalar initial-state
 // generators shared by every family that starts from a value vector (the
 // median, robust and gossip spec kinds). It used to live inside package
-// consensus; it is a leaf package so that internal/gossip — which package
-// consensus itself imports — can resolve init specs without a cycle.
-// Package consensus re-exports the whole surface (consensus.InitSpec,
-// consensus.BuildInit, ...), so library callers never see this package.
+// consensus; it is a leaf package so that the families registered beside
+// consensus (internal/gossip, robust) resolve init specs without importing
+// it. Package consensus re-exports what library callers need
+// (consensus.InitSpec, BuildInit, BuildInitDist, InitKinds), so they never
+// see this package.
 package initspec
 
 import (

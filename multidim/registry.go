@@ -31,9 +31,9 @@ type InitSpec struct {
 }
 
 // InitGenerator materializes an initial point set from its spec. Check,
-// Normalize and Size mirror consensus.InitGenerator: validation without the
-// O(n·d) allocation, canonical spec rewriting for stable hashing, and
-// population reporting for admission control.
+// Normalize and Size mirror the scalar initspec.Generator: validation
+// without the O(n·d) allocation, canonical spec rewriting for stable
+// hashing, and population reporting for admission control.
 //
 // GenerateCounts, when non-nil, builds the initial state directly at the
 // distribution level — sorted distinct tuples with positive counts — so the

@@ -42,12 +42,27 @@ func TestHandlerAllocs(t *testing.T) {
 		max  float64
 		run  func()
 	}{
-		{"cache-hit submit", 58, serve("POST", "/v1/runs", body)},
-		{"get", 34, serve("GET", "/v1/runs/"+v.ID, nil)},
-		{"done stream", 35, serve("GET", "/v1/runs/"+v.ID+"/stream", nil)},
+		{"cache-hit submit", 51, serve("POST", "/v1/runs", body)},
+		{"get", 33, serve("GET", "/v1/runs/"+v.ID, nil)},
+		{"done stream", 34, serve("GET", "/v1/runs/"+v.ID+"/stream", nil)},
 	} {
 		if got := testing.AllocsPerRun(50, c.run); got > c.max {
 			t.Errorf("%s: %v allocations, want at most %v", c.name, got, c.max)
 		}
+	}
+}
+
+// TestAdmitAllocs pins the allocations of admitting the serve benchmark's
+// hit spec: the payload's structural Clone, its canonical encoding and
+// the hash's hex digits.
+func TestAdmitAllocs(t *testing.T) {
+	spec := hitSpec(4243)
+	got := testing.AllocsPerRun(50, func() {
+		if _, _, err := spec.Admit(0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 5 {
+		t.Errorf("Admit: %v allocations, want at most 5", got)
 	}
 }

@@ -371,9 +371,11 @@ func (s *Service) ExpandBatch(req BatchRequest) ([]BatchCell, error) {
 // closed service, or an emit error, and stops submitting when it does.
 //
 // The cells must come from ExpandBatch: RunBatch does not admit them
-// again but queues each cell's Spec under its SpecHash as given. That is
-// safe because ExpandBatch is the only exported source of cells, and it
-// admits every one under this service's own limits.
+// again but queues each cell's Spec under its SpecHash as given, and the
+// worker runs that Spec as it is, so the cell's normalization and
+// validation, like its hash, are ExpandBatch's. That is safe because
+// ExpandBatch is the only exported source of cells, and it admits every
+// one under this service's own limits.
 func (s *Service) RunBatch(ctx context.Context, cells []BatchCell, emit func(BatchCellRecord) error) error {
 	// The submitter below must not outlive RunBatch: cancelling on return
 	// releases it from a full channel nobody reads any more.

@@ -98,7 +98,7 @@ func (s *Service) instrument(mux *http.ServeMux) http.Handler {
 			status = http.StatusOK
 		}
 		elapsed := time.Since(start)
-		s.metrics.httpDuration.With(route, strconv.Itoa(status)).ObserveDuration(elapsed)
+		s.metrics.httpDuration.With(route, statusLabel(status)).ObserveDuration(elapsed)
 		// The attributes are built only for a logger that keeps the line:
 		// boxing them costs allocations on every request.
 		if s.logger.Enabled(r.Context(), slog.LevelInfo) {
@@ -107,6 +107,23 @@ func (s *Service) instrument(mux *http.ServeMux) http.Handler {
 				"duration_ms", float64(elapsed.Microseconds())/1000, "request_id", reqID)
 		}
 	})
+}
+
+// statusLabels holds the metric label of every status code below 600,
+// built once: strconv.Itoa allocates each label of 100 or more.
+var statusLabels = func() (labels [600]string) {
+	for code := range labels {
+		labels[code] = strconv.Itoa(code)
+	}
+	return labels
+}()
+
+// statusLabel is the metric label of a response's status code.
+func statusLabel(code int) string {
+	if code >= 0 && code < len(statusLabels) {
+		return statusLabels[code]
+	}
+	return strconv.Itoa(code)
 }
 
 // maxRequestID bounds a propagated X-Request-Id. The id is outside input

@@ -32,15 +32,15 @@ type StoredRun = store.Run
 // ErrCancelled is returned by Execute when the cancelled callback fired.
 var ErrCancelled = engine.ErrCancelled
 
-// Execute runs a spec of any registered kind synchronously, dispatching
-// through the engine registry. It normalizes and validates the spec first
-// (engine.Execute), so a spec that fails validation fails here with the
-// error Submit gives. observe, when non-nil, receives one RoundRecord per
-// executed round. cancelled, when non-nil, is polled once per round
-// (through the engines' shared observer hook, their per-round
-// cancellation point); returning true aborts the run with ErrCancelled.
-// Any engine panic is converted into an error so a bad spec can never take
-// down the serving process.
+// Execute runs a spec of any registered kind synchronously, outside any
+// service: engine.Execute admits it as Submit does, with no size bound, so
+// a spec that fails validation fails here with the error Submit gives, and
+// runs it. observe, when non-nil, receives one RoundRecord per executed
+// round. cancelled, when non-nil, is polled once per round (through the
+// engines' shared observer hook, their per-round cancellation point);
+// returning true aborts the run with ErrCancelled. Any engine panic is
+// converted into an error so a bad spec can never take down the serving
+// process.
 func Execute(spec Spec, observe func(RoundRecord), cancelled func() bool) (RunResult, error) {
 	return engine.Execute(spec, observe, cancelled)
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -718,7 +719,8 @@ func (s *Service) worker() {
 				Type: "job.progress", Job: j.id, Kind: j.spec.Kind,
 				SpecHash: j.hash, RequestID: j.reqID,
 			})
-		res, err := Execute(j.spec,
+		// j.spec is what Admit returned, so it runs as it is.
+		res, err := j.spec.Run(cmp.Or(j.spec.Seed, DeriveSeed(j.hash)),
 			func(rec RoundRecord) {
 				tracker.Tick(rec.Round)
 				j.appendRecord(max, rec)

@@ -616,31 +616,26 @@ func mustHash(t *testing.T, s Spec) string {
 }
 
 // TestSeedDerivation: seedless specs still run deterministically, with a
-// seed derived from the canonical hash.
+// seed derived from the canonical hash, and an explicit seed wins.
 func TestSeedDerivation(t *testing.T) {
 	spec := Spec{Payload: &MedianSpec{
 		Init: InitSpec{Kind: "twovalue", N: 100},
 		Rule: RuleSpec{Name: "median"},
 	}}
-	s1, err := spec.EffectiveSeed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := spec.EffectiveSeed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1 == 0 || s1 != s2 {
-		t.Fatalf("derived seed must be stable and non-zero, got %d and %d", s1, s2)
-	}
+	derived := DeriveSeed(mustHash(t, spec))
 	seeded := spec
 	seeded.Seed = 42
-	s3, err := seeded.EffectiveSeed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s3 != 42 {
-		t.Fatalf("explicit seed must win, got %d", s3)
+	for _, c := range []struct {
+		spec Spec
+		want uint64
+	}{{spec, derived}, {spec, derived}, {seeded, 42}} {
+		res, err := Execute(c.spec, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Seed == 0 || res.Seed != c.want {
+			t.Fatalf("run seed %d, want %d", res.Seed, c.want)
+		}
 	}
 }
 

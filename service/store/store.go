@@ -208,12 +208,13 @@ func (p Policy) threshold() int64 {
 // commits one record with an fsync; Load replays what Open recovered.
 // Append, Stats and Compact are safe for concurrent use.
 type Log struct {
-	mu     sync.Mutex
-	f      *os.File
-	path   string
-	pol    Policy
-	stats  Stats
-	loaded []Run
+	mu    sync.Mutex
+	f     *os.File
+	path  string
+	pol   Policy
+	stats Stats
+	// recovered holds the frames Open kept until Load replays their runs.
+	recovered []frameRec
 
 	// broken is why a failed append could not be cut back off the file;
 	// once set, Append refuses to write behind the torn frame.
@@ -317,7 +318,7 @@ func OpenWithPolicy(path string, pol Policy) (*Log, error) {
 	for _, fr := range kept {
 		switch {
 		case fr.decoded:
-			l.loaded = append(l.loaded, fr.run)
+			l.stats.RecordsLoaded++
 			if l.live != nil {
 				l.live[fr.run.SpecHash] = fr.size
 			}
@@ -329,7 +330,7 @@ func OpenWithPolicy(path string, pol Policy) (*Log, error) {
 			l.opaqueBytes += fr.size
 		}
 	}
-	l.stats.RecordsLoaded = int64(len(l.loaded))
+	l.recovered = kept
 	l.stats.RecordsDropped = dropped
 	if dirty {
 		preSize := info.Size()
@@ -746,11 +747,14 @@ func sealFrame(buf []byte) {
 // replay and returns that error (already-applied records stay applied).
 func (l *Log) Load(apply func(Run) error) error {
 	l.mu.Lock()
-	runs := l.loaded
-	l.loaded = nil
+	frames := l.recovered
+	l.recovered = nil
 	l.mu.Unlock()
-	for _, r := range runs {
-		if err := apply(r); err != nil {
+	for _, fr := range frames {
+		if !fr.decoded {
+			continue
+		}
+		if err := apply(fr.run); err != nil {
 			return err
 		}
 	}
