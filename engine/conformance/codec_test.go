@@ -6,10 +6,75 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/engine"
 )
+
+// goldenSpecs are the canonical encodings pinned by service's
+// TestGoldenHashes.
+var goldenSpecs = []string{
+	`{"engine":"auto","init":{"kind":"twovalue","n":1000,"n_low":500,"low":1,"high":2},"kind":"median","rule":{"name":"median"},"seed":1,"timing":"before-round","v":1}`,
+	`{"init":{"kind":"twovalue","n":1000,"n_low":500,"low":1,"high":2},"kind":"gossip","rule":{"name":"median"},"seed":1,"selector":"drop-value:2","v":1}`,
+	`{"engine":"auto","init":{"kind":"random","n":1000,"d":2,"m":8,"seed":1},"kind":"multidim","seed":1,"v":1}`,
+	`{"engine":"count","init":{"kind":"random","n":100000,"d":2,"m":4,"seed":1},"kind":"multidim","seed":1,"v":1}`,
+	`{"adversary":{"name":"noise"},"engine":"auto","init":{"kind":"random","n":1000000000,"d":2,"m":2,"seed":3},"kind":"multidim","seed":1,"v":1}`,
+	`{"crashes":10,"init":{"kind":"twovalue","n":1000,"n_low":500,"low":1,"high":2},"kind":"robust","loss_prob":0.1,"mode":"responsive","seed":1,"v":1}`,
+	`{"init":"point","kind":"exact","n":64,"seed":1,"start":16,"v":1}`,
+}
+
+// fallbackSpecs are specs whose payloads the compiled plans leave to
+// encoding/json, one for each form outside the plans' grammar, so that
+// encoding/json makes the accept or reject decision and the decoded spec
+// is its own.
+var fallbackSpecs = []string{
+	// Escaped keys, at the top and nested, and case variants of payload
+	// keys, which encoding/json matches without regard to case.
+	`{"init":{"kind":"twovalue","n":50},"rul\u0065":{"name":"median"}}`,
+	`{"init":{"k\u0069nd":"twovalue","n":50}}`,
+	`{"Init":{"kind":"twovalue","n":50}}`,
+	`{"init":{"Kind":"twovalue","N":50}}`,
+	`{"init":{"kind":"twovalue","n":50},"rule":{"NAME":"median"}}`,
+	// A repeated struct key: encoding/json decodes both, merging a
+	// repeated object.
+	`{"init":{"kind":"twovalue","n":50,"n":60}}`,
+	`{"kind":"median","adversary":{"name":"hider","budget":{"kind":"const"},"budget":{"factor":2}},"init":{"kind":"twovalue","n":50}}`,
+	// null members.
+	`{"init":null}`,
+	`{"adversary":null,"init":{"kind":"twovalue","n":50}}`,
+	`{"init":{"kind":"twovalue","n":null}}`,
+	`{"kind":"multidim","adversary":{"name":"noise","params":null},"init":{"kind":"random","n":100,"d":2,"m":4}}`,
+	// Strings that are not plain, and numbers in forms the encoder never
+	// writes for the field.
+	`{"init":{"kind":"two\u0076alue","n":50}}`,
+	`{"init":{"kind":"twovalue","n":50,"low":-0,"high":5}}`,
+	`{"init":{"kind":"blocks","counts":[-9223372036854775809]}}`,
+	`{"init":{"kind":"uniform","n":50,"m":3,"seed":-1}}`,
+	`{"init":{"kind":"twovalue","n":5e1}}`,
+	`{"init":{"kind":"twovalue","n":50.0}}`,
+	`{"kind":"robust","init":{"kind":"twovalue","n":50},"loss_prob":"0.1"}`,
+	`{"kind":"gossip","init":{"kind":"twovalue","n":50},"cap_factor":1e400}`,
+}
+
+// compiledSpecs are valid specs the compiled plans decode on their own:
+// canonical encodings, and the forms the plans accept beyond them.
+var compiledSpecs = []string{
+	// Payload keys out of order, with whitespace.
+	` { "rule" : { "name" : "median" } , "init" : { "n" : 50 , "kind" : "twovalue" } } `,
+	// Negative integers, down to the smallest int64, negative and
+	// exponent floats, and params maps out of key order.
+	`{"init":{"kind":"twovalue","n":50,"low":-3,"high":5}}`,
+	`{"init":{"kind":"blocks","counts":[-1,2,-9223372036854775808,9223372036854775807]}}`,
+	`{"kind":"gossip","init":{"kind":"twovalue","n":50},"cap_factor":-2.5E+1}`,
+	`{"kind":"robust","init":{"kind":"twovalue","n":50},"loss_prob":1e-1}`,
+	`{"rule":{"name":"median","params":{"z":1,"a":-2.5,"m":3e2}},"init":{"kind":"twovalue","n":50}}`,
+	`{"kind":"multidim","adversary":{"name":"noise","params":{"p":0.5,"b":1}},"init":{"kind":"random","n":100,"d":2,"m":4}}`,
+	`{"kind":"median","adversary":{"name":"hider","budget":{"factor":2,"kind":"const"},"params":{}},"init":{"kind":"blocks","counts":[]}}`,
+	`{"seed":18446744073709551615,"init":{"kind":"uniform","n":50,"m":3,"seed":18446744073709551615}}`,
+	// A repeated map key keeps its last value, as in encoding/json.
+	`{"kind":"multidim","adversary":{"name":"noise","params":{"p":1,"p":2}},"init":{"kind":"random","n":100,"d":2,"m":4}}`,
+}
 
 // FuzzSpecCodec checks engine.Spec's codec against refSpec, the codec it
 // replaced, over every registered kind. On any input both decoders fail or
@@ -17,29 +82,23 @@ import (
 // decoded specs have the same reference encoding, raw and canonical; and
 // the two encoders write byte-identical output for the decoded spec and
 // its normalized form. The byte-identical encode is what keeps canonical
-// hashes, derived seeds and stored frames from moving.
+// hashes, derived seeds and stored frames from moving. Its seeds reach
+// both the compiled plans and every way out of them.
 func FuzzSpecCodec(f *testing.F) {
 	for _, d := range engine.Descriptors() {
 		f.Add([]byte(d.Example))
 		f.Add(append([]byte(`{"kind":"`+d.Kind+`",`), d.Example[1:]...))
 	}
-	// The canonical encodings pinned by service's TestGoldenHashes.
-	golden := []string{
-		`{"engine":"auto","init":{"kind":"twovalue","n":1000,"n_low":500,"low":1,"high":2},"kind":"median","rule":{"name":"median"},"seed":1,"timing":"before-round","v":1}`,
-		`{"init":{"kind":"twovalue","n":1000,"n_low":500,"low":1,"high":2},"kind":"gossip","rule":{"name":"median"},"seed":1,"selector":"drop-value:2","v":1}`,
-		`{"engine":"auto","init":{"kind":"random","n":1000,"d":2,"m":8,"seed":1},"kind":"multidim","seed":1,"v":1}`,
-		`{"engine":"count","init":{"kind":"random","n":100000,"d":2,"m":4,"seed":1},"kind":"multidim","seed":1,"v":1}`,
-		`{"adversary":{"name":"noise"},"engine":"auto","init":{"kind":"random","n":1000000000,"d":2,"m":2,"seed":3},"kind":"multidim","seed":1,"v":1}`,
-		`{"crashes":10,"init":{"kind":"twovalue","n":1000,"n_low":500,"low":1,"high":2},"kind":"robust","loss_prob":0.1,"mode":"responsive","seed":1,"v":1}`,
-		`{"init":"point","kind":"exact","n":64,"seed":1,"start":16,"v":1}`,
-	}
-	for _, g := range golden {
+	for _, g := range goldenSpecs {
 		f.Add([]byte(g))
 		var indented bytes.Buffer
 		if err := json.Indent(&indented, []byte(g), "", "  "); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(indented.Bytes())
+	}
+	for _, s := range slices.Concat(fallbackSpecs, compiledSpecs) {
+		f.Add([]byte(s))
 	}
 	for _, s := range []string{
 		// A repeated key keeps its last value, never a merge of both.

@@ -192,6 +192,17 @@ type clashSpec struct {
 	Seed int `json:"seed"`
 }
 
+// versionSpec is a payload with a field of its own named like an envelope
+// field, which it writes only when the field is set.
+type versionSpec struct {
+	V int `json:"v,omitempty"`
+}
+
+func (*versionSpec) Normalize()                                   {}
+func (*versionSpec) Validate() error                              { return nil }
+func (*versionSpec) MaterializedSize() int64                      { return 1 }
+func (*versionSpec) Run(engine.RunContext) (engine.Result, error) { return engine.Result{}, nil }
+
 // arraySpec is a payload that does not encode to a JSON object.
 type arraySpec struct{ fakeSpec }
 
@@ -206,12 +217,26 @@ func TestSpecMarshalRejectsBadPayloads(t *testing.T) {
 		want    string
 	}{
 		{&clashSpec{Seed: 1}, `redefines the envelope field "seed"`},
+		{&versionSpec{V: 2}, `redefines the envelope field "v"`},
 		{&arraySpec{}, "not a JSON object"},
 	} {
 		_, err := json.Marshal(engine.Spec{Kind: "fake", Payload: c.payload})
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%T payload: got %v, want an error containing %q", c.payload, err, c.want)
 		}
+	}
+	// An envelope-named field left out by omitempty clashes with nothing.
+	if buf, err := json.Marshal(engine.Spec{Kind: "fake", Payload: &versionSpec{}}); err != nil || string(buf) != `{"kind":"fake"}` {
+		t.Errorf("unset envelope-named field: %s, %v", buf, err)
+	}
+}
+
+// TestDeriveSeedAllocs pins DeriveSeed, which the service calls for every
+// seedless miss, at no allocation.
+func TestDeriveSeedAllocs(t *testing.T) {
+	hash := strings.Repeat("5c", 32)
+	if got := testing.AllocsPerRun(100, func() { engine.DeriveSeed(hash) }); got != 0 {
+		t.Errorf("DeriveSeed: %v allocations, want 0", got)
 	}
 }
 

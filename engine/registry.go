@@ -69,6 +69,7 @@ func Register(e Engine) {
 		axes[a] = true
 	}
 	registry[d.Kind] = entry{engine: e, axes: axes, payload: reflect.TypeOf(e.NewPayload())}
+	payloadPlan(registry[d.Kind].payload) // compiled now, so that no request pays for it
 }
 
 // Lookup resolves a kind name. "" resolves to the default kind (the one

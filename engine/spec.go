@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/rng"
 )
@@ -78,13 +79,18 @@ var envelopeFields = [...]string{"kind", "max_rounds", "seed", "v"}
 
 // MarshalJSON flattens the payload's fields into the envelope object, keys
 // in sorted order, so the output — and therefore the canonical encoding
-// Hash is defined over — is deterministic. The payload is encoded once;
+// Hash is defined over — is deterministic. A payload whose type has a
+// plan (see plan.go) is written through it; any other is encoded once, and
 // its top-level members are then sorted and merged with the envelope
 // fields that are set. The bytes are those of one JSON object holding
 // every member, which is how the canonical encoding is defined.
 func (s Spec) MarshalJSON() ([]byte, error) {
 	var payload []byte
 	if !nilPayload(s.Payload) {
+		if p := payloadPlan(reflect.TypeOf(s.Payload)); p != nil {
+			return s.marshalPlanned(p)
+		}
+		fallbacks.Add(1)
 		buf, err := json.Marshal(s.Payload)
 		if err != nil {
 			return nil, err
@@ -120,6 +126,36 @@ func (s Spec) MarshalJSON() ([]byte, error) {
 	return append(out, '}'), nil
 }
 
+// marshalPlanned is MarshalJSON writing the payload's members through p,
+// its type's plan, in key order. Its error is encoding/json's: that of the
+// first NaN or infinite float in declaration order.
+func (s Spec) marshalPlanned(p *plan) ([]byte, error) {
+	v := reflect.ValueOf(s.Payload).Elem()
+	out := append(make([]byte, 0, 256), '{')
+	field, errAt := 0, 0
+	var err error
+	for _, f := range p.sorted {
+		fv := v.Field(f.index)
+		if f.omitted(fv) {
+			continue
+		}
+		for ; field < len(envelopeFields) && envelopeFields[field] < f.name; field++ {
+			out = s.appendEnvelopeField(out, field)
+		}
+		var ferr error
+		if out = f.encode(appendKey(out, f.name), fv, &ferr); ferr != nil && (err == nil || f.index < errAt) {
+			err, errAt = ferr, f.index
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	for ; field < len(envelopeFields); field++ {
+		out = s.appendEnvelopeField(out, field)
+	}
+	return append(out, '}'), nil
+}
+
 // appendEnvelopeField appends envelope field i as a member of the object
 // being written in out, unless it is unset.
 func (s Spec) appendEnvelopeField(out []byte, i int) []byte {
@@ -143,11 +179,13 @@ func (s Spec) appendEnvelopeField(out []byte, i int) []byte {
 //
 // One scan lifts the envelope members out of the object; the payload
 // members left over are sorted by key, a repeated key keeping only its
-// last value, and decoded in one strict pass. Envelope keys match exactly
-// once unescaped ("\u0073eed" is "seed"). A case variant such as "Seed"
-// stays with the payload, which rejects it, though like encoding/json's
-// field matching it also sets the envelope field first: {"V":2} is a
-// foreign version, not an unknown field.
+// last value. They are decoded through the payload type's compiled plan
+// if each is in a form its encoder writes (see plan.decode), and otherwise
+// into another fresh payload in one strict encoding/json pass. Envelope
+// keys match exactly once unescaped ("\u0073eed" is "seed"). A case
+// variant such as "Seed" stays with the payload, which rejects it, though
+// like encoding/json's field matching it also sets the envelope field
+// first: {"V":2} is a foreign version, not an unknown field.
 func (s *Spec) UnmarshalJSON(data []byte) error {
 	var stack [16]member
 	members := stack[:0]
@@ -178,33 +216,57 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 	if envErr != nil {
 		return envErr
 	}
-	rest := make([]byte, 0, len(data))
-	rest = append(rest, '{')
-	for _, m := range payload {
-		rest = appendMember(rest, m)
-	}
-	rest = append(rest, '}')
 	// An absent "v" (V == 0, the pre-version encoding) is accepted for
 	// compatibility with existing clients; any explicit version other than
 	// ours is a spec this binary must not reinterpret under its own codec.
 	// Malformed JSON is malformed whatever its version says.
 	if env.V != 0 && env.V != SpecVersion {
-		if !json.Valid(rest) {
+		if !json.Valid(objectOf(payload, len(data))) {
 			return invalidSpec(data)
 		}
 		return fmt.Errorf("%w: spec has v%d, this binary speaks v%d", ErrSpecVersion, env.V, SpecVersion)
 	}
-	e, err := Lookup(env.Kind)
+	e, err := lookup(env.Kind)
 	if err != nil {
 		return err
 	}
-	p := e.NewPayload()
-	if err := strictDecode(rest, p); err != nil {
-		return fmt.Errorf("engine: bad %s spec: %w", kindOrDefault(env.Kind), err)
+	p, ok := decodePlanned(e, payload)
+	if !ok {
+		fallbacks.Add(1)
+		p = e.engine.NewPayload()
+		if err := strictDecode(objectOf(payload, len(data)), p); err != nil {
+			return fmt.Errorf("engine: bad %s spec: %w", kindOrDefault(env.Kind), err)
+		}
 	}
 	env.Payload = p
 	*s = env
 	return nil
+}
+
+// decodePlanned decodes members, each key once, into a fresh payload of
+// e's kind through its type's plan, or reports false (see plan.decode).
+func decodePlanned(e entry, members []member) (Payload, bool) {
+	p, payload, set := payloadPlan(e.payload), e.engine.NewPayload(), uint64(0)
+	if p == nil {
+		return nil, false
+	}
+	v := reflect.ValueOf(payload).Elem()
+	for _, m := range members {
+		if !p.decodeMember(v, m, &set) {
+			return nil, false
+		}
+	}
+	return payload, true
+}
+
+// objectOf writes members as one JSON object, in a buffer of capacity
+// size.
+func objectOf(members []member, size int) []byte {
+	out := append(make([]byte, 0, size), '{')
+	for _, m := range members {
+		out = appendMember(out, m)
+	}
+	return append(out, '}')
 }
 
 // setEnvelopeField decodes value into envelope field i the way
@@ -487,32 +549,44 @@ func plainText[T string | []byte](text T) bool {
 // count, that fits dst is parsed directly; any other value goes through
 // encoding/json.
 func DecodeInt[T int | int64 | uint64](value []byte, dst *T) error {
+	// n fits T when converting it keeps both its value and its sign.
+	if n, ok := plainUint(value); ok && uint64(T(n)) == n && T(n) >= 0 {
+		*dst = T(n)
+		return nil
+	}
+	return unmarshalInto(value, dst)
+}
+
+// plainUint parses value as a JSON integer with no sign, fraction or
+// exponent that fits a uint64.
+func plainUint(value []byte) (uint64, bool) {
 	plain := len(value) > 0 && (value[0] != '0' || len(value) == 1)
 	for _, c := range value {
 		plain = plain && '0' <= c && c <= '9'
 	}
-	if plain {
-		// n fits T when converting it keeps both its value and its sign.
-		if n, err := strconv.ParseUint(string(value), 10, 64); err == nil && uint64(T(n)) == n && T(n) >= 0 {
-			*dst = T(n)
-			return nil
-		}
-	}
-	return unmarshalInto(value, dst)
+	n, err := strconv.ParseUint(string(value), 10, 64)
+	return n, plain && err == nil
 }
 
 // DecodeFloat decodes value into dst as encoding/json does. A JSON number
 // that parses as a float64 is parsed directly; any other value goes
 // through encoding/json.
 func DecodeFloat(value []byte, dst *float64) error {
-	// A valid JSON value that starts like a number is one.
-	if len(value) > 0 && (value[0] == '-' || '0' <= value[0] && value[0] <= '9') && json.Valid(value) {
-		if f, err := strconv.ParseFloat(string(value), 64); err == nil {
-			*dst = f
-			return nil
-		}
+	if f, ok := plainFloat(value); ok {
+		*dst = f
+		return nil
 	}
 	return unmarshalInto(value, dst)
+}
+
+// plainFloat parses value as a JSON number that fits a float64.
+func plainFloat(value []byte) (float64, bool) {
+	// A valid JSON value that starts like a number is one.
+	if len(value) > 0 && (value[0] == '-' || '0' <= value[0] && value[0] <= '9') && json.Valid(value) {
+		f, err := strconv.ParseFloat(string(value), 64)
+		return f, err == nil
+	}
+	return 0, false
 }
 
 // unmarshalInto is json.Unmarshal(value, dst) through a copy of *dst, so
@@ -538,10 +612,10 @@ func appendMember(out []byte, m member) []byte {
 	return append(append(out, ':'), m.value...)
 }
 
-// appendComma separates a member from the one before it, if any, in the
-// object being written in out.
+// appendComma separates a member or element from the one before it, if
+// any, in the object or array being written at the end of out.
 func appendComma(out []byte) []byte {
-	if len(out) > 1 {
+	if c := out[len(out)-1]; c != '{' && c != '[' {
 		return append(out, ',')
 	}
 	return out
@@ -561,6 +635,13 @@ var strictDecoders = sync.Pool{New: func() any {
 	d.dec.DisallowUnknownFields()
 	return d
 }}
+
+// fallbacks counts the spec payloads encoded or decoded by encoding/json.
+var fallbacks atomic.Int64
+
+// CodecFallbacks reports how many spec payloads this process has encoded
+// or decoded by encoding/json, for tests that pin which specs do not.
+func CodecFallbacks() int64 { return fallbacks.Load() }
 
 // strictDecode decodes the JSON value in data into v, rejecting unknown
 // fields.
@@ -815,7 +896,8 @@ func HashBytes(canonical []byte) string {
 // DeriveSeed maps a canonical spec hash to a run seed via the splitmix64
 // finalizer, so seedless specs get a deterministic, well-mixed seed.
 func DeriveSeed(hash string) uint64 {
-	sum := sha256.Sum256([]byte(hash))
+	var buf [64]byte // a hash's 64 hex digits, digested without a heap copy
+	sum := sha256.Sum256(append(buf[:0], hash...))
 	return rng.Mix64(binary.LittleEndian.Uint64(sum[:8]))
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -64,12 +65,14 @@ func (e *apiError) Error() string {
 	return fmt.Sprintf("server returned %d: %s", e.Status, e.Msg)
 }
 
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+// do sends body's own MarshalJSON output, unless body is nil, without
+// json.Marshal's scan and copy of it, but failing as json.Marshal fails.
+func (c *Client) do(ctx context.Context, method, path string, body json.Marshaler, out any) error {
 	var rd io.Reader
 	if body != nil {
-		buf, err := json.Marshal(body)
+		buf, err := body.MarshalJSON()
 		if err != nil {
-			return err
+			return &json.MarshalerError{Type: reflect.TypeOf(body), Err: err}
 		}
 		rd = bytes.NewReader(buf)
 	}

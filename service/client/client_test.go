@@ -3,7 +3,9 @@ package client
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -134,4 +136,23 @@ func TestConcurrentCallsShareNoBuffer(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestSubmitEncodeError: a spec that cannot be encoded fails Submit before
+// any request is sent, with the error json.Marshal returns for it.
+func TestSubmitEncodeError(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		t.Error("request sent for a spec that cannot be encoded")
+	}))
+	defer srv.Close()
+	spec := service.Spec{Seed: 1, Payload: &service.MedianSpec{
+		Init: service.InitSpec{Kind: "twovalue", N: 50},
+		Rule: service.RuleSpec{Name: "median", Params: map[string]float64{"p": math.NaN()}},
+	}}
+	_, err := New(srv.URL).Submit(context.Background(), spec)
+	_, want := json.Marshal(spec)
+	var merr *json.MarshalerError
+	if want == nil || !errors.As(err, &merr) || err.Error() != want.Error() {
+		t.Fatalf("Submit error %v, want json.Marshal's %v", err, want)
+	}
 }

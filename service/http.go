@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
@@ -275,8 +276,17 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.admitSubmit(w, r) {
 		return
 	}
+	// The body, bounded by admitSubmit, is decoded in one call, trailing
+	// data included, without encoding/json's scan of it first.
+	buf := getBuffer()
+	defer putBuffer(buf)
+	body := bytes.NewBuffer(*buf)
+	_, err := body.ReadFrom(r.Body)
 	var spec Spec
-	if err := decodeBody(r.Body, &spec); err != nil {
+	if *buf = body.Bytes(); err == nil {
+		err = spec.UnmarshalJSON(*buf)
+	}
+	if err != nil {
 		writeError(w, decodeStatus(err), fmt.Errorf("invalid spec JSON: %w", err))
 		return
 	}

@@ -75,15 +75,34 @@ func BenchmarkSubmitCacheHit(b *testing.B) {
 
 // BenchmarkSpecCodec times the spec codec on the serve benchmark's hit
 // spec (median, uniform n = 5000, m = 16, seeded and normalized): the
-// canonical encode, the decode of that encoding, and Hash, which adds
-// Normalize and the SHA-256 digest to the encode. Every served request
-// pays several of each across client and server.
+// canonical encode and the decode of that encoding, called directly as
+// the served paths call them (encode, decode) and through encoding/json,
+// which adds its own scan and copy of the value (marshal, unmarshal), and
+// Hash, which adds Normalize and the SHA-256 digest to the encode. Every
+// served request pays several of each across client and server.
 func BenchmarkSpecCodec(b *testing.B) {
 	spec := hitSpec(12345).Normalize()
 	canonical, err := json.Marshal(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := spec.MarshalJSON(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			var s Spec
+			if err := s.UnmarshalJSON(canonical); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("marshal", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {

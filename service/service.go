@@ -1,7 +1,6 @@
 package service
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -720,7 +719,11 @@ func (s *Service) worker() {
 				SpecHash: j.hash, RequestID: j.reqID,
 			})
 		// j.spec is what Admit returned, so it runs as it is.
-		res, err := j.spec.Run(cmp.Or(j.spec.Seed, DeriveSeed(j.hash)),
+		seed := j.spec.Seed
+		if seed == 0 { // only a seedless spec needs the hash's seed
+			seed = DeriveSeed(j.hash)
+		}
+		res, err := j.spec.Run(seed,
 			func(rec RoundRecord) {
 				tracker.Tick(rec.Round)
 				j.appendRecord(max, rec)

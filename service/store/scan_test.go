@@ -64,13 +64,13 @@ func refScanReader(r io.Reader) (frames []frameRec, dropped int64, dirty bool, e
 			continue
 		}
 		if i, dup := index[run.SpecHash]; dup {
-			frames[i] = frameRec{run: run, decoded: true, size: size}
+			frames[i] = frameRec{run: &run, decoded: true, size: size}
 			dropped++
 			dirty = true
 			continue
 		}
 		index[run.SpecHash] = len(frames)
-		frames = append(frames, frameRec{run: run, decoded: true, size: size})
+		frames = append(frames, frameRec{run: &run, decoded: true, size: size})
 	}
 }
 

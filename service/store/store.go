@@ -364,7 +364,7 @@ func OpenWithPolicy(path string, pol Policy) (*Log, error) {
 // instead of destroying intact data. size is the framed on-disk size
 // (header + payload), which the retention byte budget is charged against.
 type frameRec struct {
-	run     Run
+	run     *Run
 	payload []byte
 	decoded bool
 	oldSpec bool
@@ -528,7 +528,7 @@ func decodeFrame(payload []byte) frameRec {
 		// (or differently-versioned) binary could still read.
 		return frameRec{payload: bytes.Clone(payload), oldSpec: errors.Is(err, engine.ErrSpecVersion), size: size}
 	}
-	return frameRec{run: run, decoded: true, size: size}
+	return frameRec{run: &run, decoded: true, size: size}
 }
 
 // applyPolicy filters frames under pol: age-expired records first, then
@@ -586,7 +586,7 @@ func scan(data []byte) ([]Run, int64, bool) {
 	var runs []Run
 	for _, fr := range frames {
 		if fr.decoded {
-			runs = append(runs, fr.run)
+			runs = append(runs, *fr.run)
 		}
 	}
 	return runs, dropped, dirty
@@ -639,7 +639,7 @@ func (l *Log) compact(frames []frameRec) error {
 	for _, fr := range frames {
 		buf := fr.payload
 		if fr.decoded {
-			if buf, err = encodeFrame(&fr.run); err != nil {
+			if buf, err = encodeFrame(fr.run); err != nil {
 				return err
 			}
 		} else {
@@ -754,7 +754,7 @@ func (l *Log) Load(apply func(Run) error) error {
 		if !fr.decoded {
 			continue
 		}
-		if err := apply(fr.run); err != nil {
+		if err := apply(*fr.run); err != nil {
 			return err
 		}
 	}
