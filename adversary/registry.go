@@ -2,9 +2,9 @@ package adversary
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"sort"
-	"sync"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -53,32 +53,12 @@ func (s BudgetSpec) Func() (BudgetFunc, error) {
 // between runs.
 type Constructor func(budget BudgetFunc, p Params) (model.Adversary, error)
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Constructor{}
-)
-
-// Register adds a named strategy constructor, panicking on duplicates.
-func Register(name string, c Constructor) {
-	if name == "" || c == nil {
-		panic("adversary: Register with empty name or nil constructor")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("adversary: duplicate registration of %q", name))
-	}
-	registry[name] = c
-}
-
 // New constructs the named adversary with the given budget spec and
 // parameters (nil for parameterless strategies).
 func New(name string, budget BudgetSpec, p Params) (model.Adversary, error) {
-	regMu.RLock()
-	c, ok := registry[name]
-	regMu.RUnlock()
+	c, ok := constructors[name]
 	if !ok {
-		return nil, fmt.Errorf("adversary: unknown adversary %q (known: %v)", name, Names())
+		return nil, fmt.Errorf("adversary: unknown adversary %q (known: %v)", name, names)
 	}
 	bf, err := budget.Func()
 	if err != nil {
@@ -100,17 +80,9 @@ type Ref struct {
 // carry per-run state, so instances must never be shared between runs).
 func (r Ref) New() (model.Adversary, error) { return New(r.Name, r.Budget, r.Params) }
 
-// Names returns the registered strategy names in sorted order.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+// Names returns the strategy names in sorted order, in a slice the caller
+// owns.
+func Names() []string { return slices.Clone(names) }
 
 // intParam extracts an integral parameter with a default, consuming it from
 // the residue map used for unknown-key detection.
@@ -142,8 +114,10 @@ func rejectResidue(name string, residue map[string]float64) error {
 	return nil
 }
 
-func init() {
-	Register("balancer", func(budget BudgetFunc, p Params) (model.Adversary, error) {
+// constructors maps every strategy name a spec can carry to its
+// constructor. It is a fixed table: a new strategy is added here, in place.
+var constructors = map[string]Constructor{
+	"balancer": func(budget BudgetFunc, p Params) (model.Adversary, error) {
 		res := residueOf(p)
 		low, err := intParam("balancer", res, "low", 0)
 		if err != nil {
@@ -157,8 +131,8 @@ func init() {
 			return nil, err
 		}
 		return NewBalancer(budget, Value(low), Value(high)), nil
-	})
-	Register("reviver", func(budget BudgetFunc, p Params) (model.Adversary, error) {
+	},
+	"reviver": func(budget BudgetFunc, p Params) (model.Adversary, error) {
 		// Reviver always runs with budget 1 (it never needs more); the
 		// budget spec is accepted for uniformity and ignored.
 		res := residueOf(p)
@@ -177,8 +151,8 @@ func init() {
 			return nil, err
 		}
 		return NewReviver(Value(target), int(delay)), nil
-	})
-	Register("hider", func(budget BudgetFunc, p Params) (model.Adversary, error) {
+	},
+	"hider": func(budget BudgetFunc, p Params) (model.Adversary, error) {
 		res := residueOf(p)
 		held, err := intParam("hider", res, "held", 1)
 		if err != nil {
@@ -188,8 +162,8 @@ func init() {
 			return nil, err
 		}
 		return NewHider(budget, Value(held)), nil
-	})
-	Register("flipper", func(budget BudgetFunc, p Params) (model.Adversary, error) {
+	},
+	"flipper": func(budget BudgetFunc, p Params) (model.Adversary, error) {
 		res := residueOf(p)
 		a, err := intParam("flipper", res, "a", 1)
 		if err != nil {
@@ -203,17 +177,20 @@ func init() {
 			return nil, err
 		}
 		return NewFlipper(budget, Value(a), Value(b)), nil
-	})
-	Register("random-noise", func(budget BudgetFunc, p Params) (model.Adversary, error) {
+	},
+	"random-noise": func(budget BudgetFunc, p Params) (model.Adversary, error) {
 		if err := rejectResidue("random-noise", residueOf(p)); err != nil {
 			return nil, err
 		}
 		return NewRandomNoise(budget), nil
-	})
-	Register("median-splitter", func(budget BudgetFunc, p Params) (model.Adversary, error) {
+	},
+	"median-splitter": func(budget BudgetFunc, p Params) (model.Adversary, error) {
 		if err := rejectResidue("median-splitter", residueOf(p)); err != nil {
 			return nil, err
 		}
 		return NewMedianSplitter(budget), nil
-	})
+	},
 }
+
+// names is constructors' keys, sorted once.
+var names = slices.Sorted(maps.Keys(constructors))

@@ -1,7 +1,10 @@
 package adversary
 
 import (
+	"maps"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -27,6 +30,53 @@ func TestBudgetSpec(t *testing.T) {
 			t.Fatalf("budget %+v must error", bad)
 		}
 	}
+}
+
+// TestNamesAreTheTable: Names lists the table's keys, sorted, in a copy
+// the caller may change without changing the next call's result.
+func TestNamesAreTheTable(t *testing.T) {
+	got := Names()
+	if want := slices.Sorted(maps.Keys(constructors)); !slices.Equal(got, want) {
+		t.Fatalf("Names() = %v, want the table's sorted keys %v", got, want)
+	}
+	got[0] = "changed"
+	if Names()[0] == "changed" {
+		t.Fatal("Names() returned the table's own slice")
+	}
+}
+
+// TestUnknownAdversaryError pins the unknown-name error, byte for byte.
+func TestUnknownAdversaryError(t *testing.T) {
+	const want = `adversary: unknown adversary "nope" (known: [balancer flipper hider median-splitter random-noise reviver])`
+	_, err := New("nope", BudgetSpec{Kind: "sqrt", Factor: 1}, nil)
+	_, refErr := Ref{Name: "nope", Budget: BudgetSpec{Kind: "sqrt", Factor: 1}}.New()
+	for _, err := range []error{err, refErr} {
+		if err == nil || err.Error() != want {
+			t.Fatalf("error %v, want %s", err, want)
+		}
+	}
+}
+
+// TestConcurrentLookups resolves names from several goroutines at once,
+// so that the race detector sees the table only read.
+func TestConcurrentLookups(t *testing.T) {
+	budget := BudgetSpec{Kind: "sqrt", Factor: 1}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, name := range Names() {
+				if _, err := New(name, budget, nil); err != nil {
+					t.Errorf("New(%q): %v", name, err)
+				}
+			}
+			if _, err := New("nope", budget, nil); err == nil {
+				t.Error("unknown adversary must error")
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestRegistryConstructs(t *testing.T) {

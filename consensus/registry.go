@@ -2,16 +2,17 @@ package consensus
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/initspec"
 )
 
-// This file is the package's registration surface: serializable names for
-// engines and adversary timings, and the builders of the name→generator
-// registry of initial states. It exists so the service layer (package
-// service) can reconstruct a Config from a JSON spec without hard-coding
-// knowledge of every engine and initial-state family.
+// This file holds the package's name tables: serializable names for
+// engines and adversary timings, and the builders of initial states from
+// the init-kind table of internal/initspec. It exists so the service layer
+// (package service) can reconstruct a Config from a JSON spec without
+// hard-coding knowledge of every engine and initial-state family.
 
 // engineNames maps serialized engine names to Engine values. "" is accepted
 // as EngineAuto so omitted spec fields behave like zero-valued Config fields.
@@ -22,6 +23,9 @@ var engineNames = map[string]Engine{
 	"twobin": EngineTwoBin,
 }
 
+// engineList is engineNames' keys, sorted once.
+var engineList = slices.Sorted(maps.Keys(engineNames))
+
 // EngineByName resolves a serialized engine name ("" means "auto").
 func EngineByName(name string) (Engine, error) {
 	if name == "" {
@@ -29,7 +33,7 @@ func EngineByName(name string) (Engine, error) {
 	}
 	e, ok := engineNames[name]
 	if !ok {
-		return EngineAuto, fmt.Errorf("consensus: unknown engine %q (known: %v)", name, EngineNames())
+		return EngineAuto, fmt.Errorf("consensus: unknown engine %q (known: %v)", name, engineList)
 	}
 	return e, nil
 }
@@ -44,15 +48,9 @@ func (e Engine) String() string {
 	return fmt.Sprintf("engine(%d)", int(e))
 }
 
-// EngineNames returns the serialized engine names in sorted order.
-func EngineNames() []string {
-	out := make([]string, 0, len(engineNames))
-	for name := range engineNames {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+// EngineNames returns the serialized engine names in sorted order, in a
+// slice the caller owns.
+func EngineNames() []string { return slices.Clone(engineList) }
 
 // TimingByName resolves a serialized adversary timing ("" means
 // "before-round", the paper's Section 1.1 default).
@@ -68,7 +66,7 @@ func TimingByName(name string) (Timing, error) {
 }
 
 // InitSpec is the serializable description of an initial state. It is an
-// alias of initspec.Spec — the registry itself lives in the leaf package
+// alias of initspec.Spec — the table itself lives in the leaf package
 // internal/initspec so that internal/gossip (which this package imports)
 // can resolve init specs without an import cycle; this package remains the
 // public surface.
@@ -79,8 +77,8 @@ func BuildInit(s InitSpec) ([]Value, error) { return initspec.Build(s) }
 
 // BuildInitDist materializes the value distribution described by s — the
 // O(m) count-level initial state RunDist consumes — without building the
-// per-process vector when the generator is count-native.
+// per-process vector.
 func BuildInitDist(s InitSpec) (Dist, error) { return initspec.BuildDist(s) }
 
-// InitKinds returns the registered init kinds in sorted order.
+// InitKinds returns the init kinds in sorted order.
 func InitKinds() []string { return initspec.Kinds() }

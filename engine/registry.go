@@ -11,9 +11,9 @@ import (
 // kind self-describing over the wire (GET /v1/engines) and a factory for
 // its typed spec payload.
 type Engine interface {
-	// Descriptor describes the kind. It is recomputed on every call so
-	// enum lists that reference other registries (rules, adversaries,
-	// init kinds) stay current regardless of registration order.
+	// Descriptor describes the kind. Descriptors calls it again for every
+	// discovery request; Register reads the kind, the default flag and
+	// the axes from it once.
 	Descriptor() Descriptor
 	// NewPayload returns a fresh zero payload for the codec to decode
 	// into. It must return a pointer to a struct.

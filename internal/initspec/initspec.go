@@ -1,17 +1,17 @@
-// Package initspec is the registry of serializable scalar initial-state
-// generators shared by every family that starts from a value vector (the
-// median, robust and gossip spec kinds). It used to live inside package
-// consensus; it is a leaf package so that the families registered beside
-// consensus (internal/gossip, robust) resolve init specs without importing
-// it. Package consensus re-exports what library callers need
-// (consensus.InitSpec, BuildInit, BuildInitDist, InitKinds), so they never
-// see this package.
+// Package initspec holds the fixed table of serializable scalar
+// initial-state generators shared by every family that starts from a value
+// vector (the median, robust and gossip spec kinds). It used to live
+// inside package consensus; it is a leaf package so that the families
+// registered beside consensus (internal/gossip, robust) resolve init specs
+// without importing it. Package consensus re-exports what library callers
+// need (consensus.InitSpec, BuildInit, BuildInitDist, InitKinds), so they
+// never see this package.
 package initspec
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"maps"
+	"slices"
 
 	"repro/engine"
 	"repro/internal/assign"
@@ -44,23 +44,22 @@ type Spec struct {
 	Counts []int64 `json:"counts,omitempty"`
 }
 
-// Generator materializes an initial state from its spec. Check, when
-// non-nil, validates a spec without allocating the O(n) state — the service
-// layer validates every submitted spec, so a missing Check means each
-// validation materializes (and discards) the full population. Normalize,
-// when non-nil, rewrites a spec to its canonical form: defaulted fields
-// made explicit, fields the kind ignores zeroed — so specs describing the
-// same state serialize (and hash) identically.
-// Size, when non-nil, reports the population the spec would materialize
-// without allocating it, letting servers enforce admission limits.
+// Generator materializes an initial state from its spec; every hook is
+// required. Generate builds the per-process value vector. Check validates
+// a spec without allocating the O(n) state — the service layer validates
+// every submitted spec. Normalize rewrites a spec to its canonical form:
+// defaulted fields made explicit, fields the kind ignores zeroed — so specs
+// describing the same state serialize (and hash) identically. Size reports
+// the population the spec would materialize without allocating it, letting
+// servers enforce admission limits.
 //
-// GenerateDist, when non-nil, builds the initial state directly at the
-// distribution level — sorted distinct values with positive counts — so
-// the count-level engines start without ever allocating the O(n) value
-// vector. Support, when non-nil, reports an upper bound on the number of
-// distinct values the spec realizes, computable from the spec alone;
-// admission control (the median kind's MaterializedSize) uses it in place
-// of a materialized support count.
+// GenerateDist builds the initial state directly at the distribution level
+// — sorted distinct values with positive counts — so the count-level
+// engines start without ever allocating the O(n) value vector. Support
+// reports an upper bound on the number of distinct values the spec
+// realizes, computable from the spec alone; admission control (the median
+// kind's MaterializedSize) uses it in place of a materialized support
+// count.
 type Generator struct {
 	Generate     func(s Spec) ([]Value, error)
 	GenerateDist func(s Spec) (assign.Dist, error)
@@ -70,30 +69,10 @@ type Generator struct {
 	Support      func(s Spec) int64
 }
 
-var (
-	mu       sync.RWMutex
-	registry = map[string]Generator{}
-)
-
-// Register adds a named initial-state generator, panicking on duplicates.
-func Register(kind string, g Generator) {
-	if kind == "" || g.Generate == nil {
-		panic("initspec: Register with empty kind or nil generator")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if _, dup := registry[kind]; dup {
-		panic(fmt.Sprintf("initspec: duplicate init registration of %q", kind))
-	}
-	registry[kind] = g
-}
-
 func generatorFor(kind string) (Generator, error) {
-	mu.RLock()
-	g, ok := registry[kind]
-	mu.RUnlock()
+	g, ok := generators[kind]
 	if !ok {
-		return Generator{}, fmt.Errorf("consensus: unknown init kind %q (known: %v)", kind, Kinds())
+		return Generator{}, fmt.Errorf("consensus: unknown init kind %q (known: %v)", kind, kinds)
 	}
 	return g, nil
 }
@@ -109,65 +88,51 @@ func Build(s Spec) ([]Value, error) {
 
 // BuildDist materializes the value distribution described by s — sorted
 // distinct values and their positive counts — without building the
-// per-process value vector when the generator is count-native. Generators
-// without a GenerateDist hook fall back to materialize-and-bucket.
+// per-process value vector.
 func BuildDist(s Spec) (assign.Dist, error) {
 	g, err := generatorFor(s.Kind)
 	if err != nil {
 		return assign.Dist{}, err
 	}
-	if g.GenerateDist != nil {
-		return g.GenerateDist(s)
-	}
-	vals, err := g.Generate(s)
-	if err != nil {
-		return assign.Dist{}, err
-	}
-	return assign.Config(vals).Dist(), nil
+	return g.GenerateDist(s)
 }
 
 // Support reports an upper bound on the number of distinct values the init
 // spec realizes, computed from the spec alone (no O(n) pre-pass). 0 means
-// unknown (unregistered kind or no Support hook), which admission control
-// charges as the full population.
+// unknown (an unknown kind), which admission control charges as the full
+// population.
 func Support(s Spec) int64 {
 	g, err := generatorFor(s.Kind)
-	if err != nil || g.Support == nil {
+	if err != nil {
 		return 0
 	}
 	return g.Support(s)
 }
 
-// Check validates an init spec without materializing the state when the
-// generator provides a Check, falling back to generate-and-discard.
+// Check validates an init spec without materializing the state.
 func Check(s Spec) error {
 	g, err := generatorFor(s.Kind)
 	if err != nil {
 		return err
 	}
-	if g.Check != nil {
-		return g.Check(s)
-	}
-	_, err = g.Generate(s)
-	return err
+	return g.Check(s)
 }
 
 // Normalize rewrites an init spec to its canonical form. Unknown kinds
-// and generators without a Normalize hook pass through unchanged (their
-// validation error, if any, surfaces in Check/Build).
+// pass through unchanged (their error surfaces in Check/Build).
 func Normalize(s Spec) Spec {
 	g, err := generatorFor(s.Kind)
-	if err != nil || g.Normalize == nil {
+	if err != nil {
 		return s
 	}
 	return g.Normalize(s)
 }
 
 // Size reports the population an init spec would materialize, without
-// allocating it. 0 means unknown (unregistered kind or no Size hook).
+// allocating it. 0 means unknown (an unknown kind).
 func Size(s Spec) int64 {
 	g, err := generatorFor(s.Kind)
-	if err != nil || g.Size == nil {
+	if err != nil {
 		return 0
 	}
 	return g.Size(s)
@@ -207,17 +172,8 @@ func FollowSeed(s *Spec, seed uint64) {
 	}
 }
 
-// Kinds returns the registered init kinds in sorted order.
-func Kinds() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for kind := range registry {
-		out = append(out, kind)
-	}
-	sort.Strings(out)
-	return out
-}
+// Kinds returns the init kinds in sorted order, in a slice the caller owns.
+func Kinds() []string { return slices.Clone(kinds) }
 
 func needN(s Spec) error {
 	if s.N <= 0 {
@@ -327,8 +283,10 @@ func supportBound(counts []int64) int64 {
 	return k
 }
 
-func init() {
-	Register("distinct", Generator{
+// generators maps every init kind a spec can carry to its generator. It is
+// a fixed table: a new kind is added here, in place, with every hook set.
+var generators = map[string]Generator{
+	"distinct": {
 		Check:   needN,
 		Size:    func(s Spec) int64 { return int64(s.N) },
 		Support: func(s Spec) int64 { return int64(s.N) },
@@ -352,8 +310,8 @@ func init() {
 			}
 			return d, nil
 		},
-	})
-	Register("uniform", Generator{
+	},
+	"uniform": {
 		Check: needN,
 		Size:  func(s Spec) int64 { return int64(s.N) },
 		Support: func(s Spec) int64 {
@@ -372,8 +330,8 @@ func init() {
 			return assign.Uniform(s.N, clampM(s), rng.NewInitStream(s.Seed)), nil
 		},
 		GenerateDist: uniformDist,
-	})
-	Register("twovalue", Generator{
+	},
+	"twovalue": {
 		Size:    func(s Spec) int64 { return int64(s.N) },
 		Support: func(s Spec) int64 { return 2 },
 		Check: func(s Spec) error {
@@ -410,8 +368,8 @@ func init() {
 			}
 			return d, nil
 		},
-	})
-	Register("blocks", Generator{
+	},
+	"blocks": {
 		Check: checkBlocks,
 		Size: func(s Spec) int64 {
 			var n int64
@@ -436,8 +394,8 @@ func init() {
 			}
 			return blocksDist(s.Counts), nil
 		},
-	})
-	Register("evenblocks", Generator{
+	},
+	"evenblocks": {
 		Check: needN,
 		Size:  func(s Spec) int64 { return int64(s.N) },
 		Support: func(s Spec) int64 {
@@ -468,5 +426,8 @@ func init() {
 			}
 			return blocksDist(counts), nil
 		},
-	})
+	},
 }
+
+// kinds is generators' keys, sorted once.
+var kinds = slices.Sorted(maps.Keys(generators))

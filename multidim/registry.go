@@ -2,15 +2,15 @@ package multidim
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"maps"
+	"slices"
 
 	"repro/internal/randx"
 	"repro/internal/rng"
 )
 
-// This file is the package's registration surface, mirroring the
-// rules/adversary/consensus pattern: serializable names for initial point
+// This file holds the package's name tables, fixed like those of rules,
+// adversary and internal/initspec: serializable names for initial point
 // sets and adversary strategies, so the service layer can reconstruct a
 // multidim run from a JSON spec without hard-coding every family.
 
@@ -30,17 +30,18 @@ type InitSpec struct {
 	Seed uint64 `json:"seed,omitempty"`
 }
 
-// InitGenerator materializes an initial point set from its spec. Check,
+// InitGenerator materializes an initial point set from its spec; every
+// hook is required. Generate builds the per-process point slice. Check,
 // Normalize and Size mirror the scalar initspec.Generator: validation
 // without the O(n·d) allocation, canonical spec rewriting for stable
 // hashing, and population reporting for admission control.
 //
-// GenerateCounts, when non-nil, builds the initial state directly at the
-// distribution level — sorted distinct tuples with positive counts — so the
-// count engine starts without ever materializing the O(n·d) point slice.
-// Support, when non-nil, reports an upper bound on the number of distinct
-// tuples the spec realizes, computable from the spec alone; engine
-// auto-selection uses it in place of a materialized support count.
+// GenerateCounts builds the initial state directly at the distribution
+// level — sorted distinct tuples with positive counts — so the count engine
+// starts without ever materializing the O(n·d) point slice. Support reports
+// an upper bound on the number of distinct tuples the spec realizes,
+// computable from the spec alone; engine auto-selection uses it in place of
+// a materialized support count.
 type InitGenerator struct {
 	Generate       func(s InitSpec) ([]Point, error)
 	GenerateCounts func(s InitSpec) ([]Point, []int64, error)
@@ -50,30 +51,10 @@ type InitGenerator struct {
 	Support        func(s InitSpec) int64
 }
 
-var (
-	initMu       sync.RWMutex
-	initRegistry = map[string]InitGenerator{}
-)
-
-// RegisterInit adds a named point-set generator, panicking on duplicates.
-func RegisterInit(kind string, g InitGenerator) {
-	if kind == "" || g.Generate == nil {
-		panic("multidim: RegisterInit with empty kind or nil generator")
-	}
-	initMu.Lock()
-	defer initMu.Unlock()
-	if _, dup := initRegistry[kind]; dup {
-		panic(fmt.Sprintf("multidim: duplicate init registration of %q", kind))
-	}
-	initRegistry[kind] = g
-}
-
 func initFor(kind string) (InitGenerator, error) {
-	initMu.RLock()
-	g, ok := initRegistry[kind]
-	initMu.RUnlock()
+	g, ok := initGenerators[kind]
 	if !ok {
-		return InitGenerator{}, fmt.Errorf("multidim: unknown init kind %q (known: %v)", kind, InitKinds())
+		return InitGenerator{}, fmt.Errorf("multidim: unknown init kind %q (known: %v)", kind, initKinds)
 	}
 	return g, nil
 }
@@ -89,34 +70,22 @@ func BuildInit(s InitSpec) ([]Point, error) {
 
 // BuildInitCounts materializes the distribution described by s — sorted
 // distinct tuples and their positive counts — without building the
-// per-process point slice when the generator is count-native. Generators
-// without a GenerateCounts hook fall back to materialize-and-bucket.
+// per-process point slice.
 func BuildInitCounts(s InitSpec) ([]Point, []int64, error) {
 	g, err := initFor(s.Kind)
 	if err != nil {
 		return nil, nil, err
 	}
-	if g.GenerateCounts != nil {
-		return g.GenerateCounts(s)
-	}
-	pts, err := g.Generate(s)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(pts) == 0 {
-		return nil, nil, fmt.Errorf("multidim: init %q generated an empty population", s.Kind)
-	}
-	tuples, counts := distOf(pts, len(pts[0]))
-	return tuples, counts, nil
+	return g.GenerateCounts(s)
 }
 
 // InitSupport reports an upper bound on the number of distinct tuples the
 // init spec realizes, computed from the spec alone (no O(n·d) pre-pass).
-// 0 means unknown (unregistered kind or no Support hook), which engine
-// auto-selection treats as "too large for the count engine".
+// 0 means unknown (an unknown kind), which engine auto-selection treats as
+// "too large for the count engine".
 func InitSupport(s InitSpec) int64 {
 	g, err := initFor(s.Kind)
-	if err != nil || g.Support == nil {
+	if err != nil {
 		return 0
 	}
 	return g.Support(s)
@@ -128,44 +97,32 @@ func CheckInit(s InitSpec) error {
 	if err != nil {
 		return err
 	}
-	if g.Check != nil {
-		return g.Check(s)
-	}
-	_, err = g.Generate(s)
-	return err
+	return g.Check(s)
 }
 
 // NormalizeInit rewrites an init spec to its canonical form. Unknown kinds
 // pass through unchanged (their error surfaces in CheckInit/BuildInit).
 func NormalizeInit(s InitSpec) InitSpec {
 	g, err := initFor(s.Kind)
-	if err != nil || g.Normalize == nil {
+	if err != nil {
 		return s
 	}
 	return g.Normalize(s)
 }
 
 // InitSize reports the population an init spec would materialize, without
-// allocating it. 0 means unknown.
+// allocating it. 0 means unknown (an unknown kind).
 func InitSize(s InitSpec) int64 {
 	g, err := initFor(s.Kind)
-	if err != nil || g.Size == nil {
+	if err != nil {
 		return 0
 	}
 	return g.Size(s)
 }
 
-// InitKinds returns the registered init kinds in sorted order.
-func InitKinds() []string {
-	initMu.RLock()
-	defer initMu.RUnlock()
-	out := make([]string, 0, len(initRegistry))
-	for kind := range initRegistry {
-		out = append(out, kind)
-	}
-	sort.Strings(out)
-	return out
-}
+// InitKinds returns the init kinds in sorted order, in a slice the caller
+// owns.
+func InitKinds() []string { return slices.Clone(initKinds) }
 
 func checkShape(s InitSpec) error {
 	if s.N <= 0 {
@@ -282,8 +239,11 @@ func distinctCounts(s InitSpec) ([]Point, []int64, error) {
 	return tuples, counts, nil
 }
 
-func init() {
-	RegisterInit("random", InitGenerator{
+// initGenerators maps every init kind a multidim spec can carry to its
+// generator. It is a fixed table: a new kind is added here, in place, with
+// every hook set.
+var initGenerators = map[string]InitGenerator{
+	"random": {
 		Check:   checkShape,
 		Size:    func(s InitSpec) int64 { return int64(s.N) },
 		Support: randomSupport,
@@ -297,8 +257,8 @@ func init() {
 			return RandomPoints(s.N, dimOf(s), clampM(s), s.Seed), nil
 		},
 		GenerateCounts: randomCounts,
-	})
-	RegisterInit("distinct", InitGenerator{
+	},
+	"distinct": {
 		Check:   checkShape,
 		Size:    func(s InitSpec) int64 { return int64(s.N) },
 		Support: func(s InitSpec) int64 { return int64(s.N) },
@@ -312,8 +272,11 @@ func init() {
 			return DistinctPoints(s.N, dimOf(s)), nil
 		},
 		GenerateCounts: distinctCounts,
-	})
+	},
 }
+
+// initKinds is initGenerators' keys, sorted once.
+var initKinds = slices.Sorted(maps.Keys(initGenerators))
 
 // Params carries the numeric parameters of adversary strategies in a
 // JSON-friendly form. Constructors reject unknown keys.
@@ -322,50 +285,23 @@ type Params map[string]float64
 // AdvConstructor builds a fresh adversary from its parameters.
 type AdvConstructor func(p Params) (Adversary, error)
 
-var (
-	advMu       sync.RWMutex
-	advRegistry = map[string]AdvConstructor{}
-)
-
-// RegisterAdversary adds a named strategy constructor, panicking on
-// duplicates.
-func RegisterAdversary(name string, c AdvConstructor) {
-	if name == "" || c == nil {
-		panic("multidim: RegisterAdversary with empty name or nil constructor")
-	}
-	advMu.Lock()
-	defer advMu.Unlock()
-	if _, dup := advRegistry[name]; dup {
-		panic(fmt.Sprintf("multidim: duplicate adversary registration of %q", name))
-	}
-	advRegistry[name] = c
-}
-
 // NewAdversary constructs the named adversary with the given parameters.
 func NewAdversary(name string, p Params) (Adversary, error) {
-	advMu.RLock()
-	c, ok := advRegistry[name]
-	advMu.RUnlock()
+	c, ok := adversaries[name]
 	if !ok {
-		return nil, fmt.Errorf("multidim: unknown adversary %q (known: %v)", name, AdversaryNames())
+		return nil, fmt.Errorf("multidim: unknown adversary %q (known: %v)", name, adversaryNames)
 	}
 	return c(p)
 }
 
-// AdversaryNames returns the registered strategy names in sorted order.
-func AdversaryNames() []string {
-	advMu.RLock()
-	defer advMu.RUnlock()
-	out := make([]string, 0, len(advRegistry))
-	for name := range advRegistry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+// AdversaryNames returns the strategy names in sorted order, in a slice the
+// caller owns.
+func AdversaryNames() []string { return slices.Clone(adversaryNames) }
 
-func init() {
-	RegisterAdversary("noise", func(p Params) (Adversary, error) {
+// adversaries maps every strategy name a multidim spec can carry to its
+// constructor. It is a fixed table: a new strategy is added here, in place.
+var adversaries = map[string]AdvConstructor{
+	"noise": func(p Params) (Adversary, error) {
 		t := 1
 		for key, v := range p {
 			if key != "t" {
@@ -377,5 +313,8 @@ func init() {
 			t = int(v)
 		}
 		return &NoiseAdversary{T: t}, nil
-	})
+	},
 }
+
+// adversaryNames is adversaries' keys, sorted once.
+var adversaryNames = slices.Sorted(maps.Keys(adversaries))

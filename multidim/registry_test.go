@@ -1,6 +1,95 @@
 package multidim
 
-import "testing"
+import (
+	"maps"
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+)
+
+// TestEveryHookSet: every generator in the init table sets every hook, so
+// no lookup needs a fallback for a missing one.
+func TestEveryHookSet(t *testing.T) {
+	for kind, g := range initGenerators {
+		v := reflect.ValueOf(g)
+		for i := range v.NumField() {
+			if f := v.Field(i); f.Kind() == reflect.Func && f.IsNil() {
+				t.Errorf("init kind %q has no %s hook", kind, v.Type().Field(i).Name)
+			}
+		}
+	}
+}
+
+// TestNamesAreTheTables: InitKinds and AdversaryNames list their tables'
+// keys, sorted, in copies the caller may change without changing the next
+// call's result.
+func TestNamesAreTheTables(t *testing.T) {
+	for _, c := range []struct {
+		what  string
+		names func() []string
+		keys  []string
+	}{
+		{"InitKinds", InitKinds, slices.Sorted(maps.Keys(initGenerators))},
+		{"AdversaryNames", AdversaryNames, slices.Sorted(maps.Keys(adversaries))},
+	} {
+		got := c.names()
+		if !slices.Equal(got, c.keys) {
+			t.Fatalf("%s() = %v, want the table's sorted keys %v", c.what, got, c.keys)
+		}
+		got[0] = "changed"
+		if c.names()[0] == "changed" {
+			t.Fatalf("%s() returned the table's own slice", c.what)
+		}
+	}
+}
+
+// TestUnknownNames pins the unknown-name errors, byte for byte, and the
+// zero or unchanged answers of the lookups that return no error.
+func TestUnknownNames(t *testing.T) {
+	const wantInit = `multidim: unknown init kind "nope" (known: [distinct random])`
+	s := InitSpec{Kind: "nope", N: 10}
+	_, buildErr := BuildInit(s)
+	_, _, countsErr := BuildInitCounts(s)
+	for _, err := range []error{buildErr, countsErr, CheckInit(s)} {
+		if err == nil || err.Error() != wantInit {
+			t.Fatalf("error %v, want %s", err, wantInit)
+		}
+	}
+	if InitSize(s) != 0 || InitSupport(s) != 0 || NormalizeInit(s) != s {
+		t.Fatalf("unknown kind: size %d, support %d, normalized %+v", InitSize(s), InitSupport(s), NormalizeInit(s))
+	}
+	const wantAdv = `multidim: unknown adversary "nope" (known: [noise])`
+	if _, err := NewAdversary("nope", nil); err == nil || err.Error() != wantAdv {
+		t.Fatalf("error %v, want %s", err, wantAdv)
+	}
+}
+
+// TestConcurrentLookups resolves names from several goroutines at once,
+// so that the race detector sees the tables only read.
+func TestConcurrentLookups(t *testing.T) {
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, name := range AdversaryNames() {
+				if _, err := NewAdversary(name, nil); err != nil {
+					t.Errorf("NewAdversary(%q): %v", name, err)
+				}
+			}
+			for _, kind := range InitKinds() {
+				if err := CheckInit(InitSpec{Kind: kind, N: 10}); err != nil {
+					t.Errorf("CheckInit(%q): %v", kind, err)
+				}
+			}
+			if _, err := NewAdversary("nope", nil); err == nil {
+				t.Error("unknown adversary must error")
+			}
+		}()
+	}
+	wg.Wait()
+}
 
 // TestInitRegistryCoverage builds and normalizes every registered kind.
 func TestInitRegistryCoverage(t *testing.T) {

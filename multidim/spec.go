@@ -12,7 +12,7 @@ import (
 
 // Spec is the multidim kind's spec payload: a point-set generator
 // reference, an optional adversary reference — both resolved through this
-// package's registries — and the engine selector.
+// package's name tables — and the engine selector.
 type Spec struct {
 	// Init describes the initial point set (see InitKinds).
 	Init InitSpec `json:"init,omitzero"`

@@ -12,7 +12,7 @@ import (
 // spec kind of the engine plugin API (package engine).
 
 // Spec is the robust kind's spec payload. The initial values come from the
-// shared scalar init registry (internal/initspec, the same "init" block the
+// shared scalar init table (internal/initspec, the same "init" block the
 // median and gossip kinds use); the fault knobs are this package's Options.
 type Spec struct {
 	// Init describes the scalar initial state.

@@ -2,8 +2,8 @@ package rules
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"maps"
+	"slices"
 )
 
 // Params carries the numeric parameters of parameterised rules (KMedian's K,
@@ -17,33 +17,12 @@ type Params map[string]float64
 // contract keeps stateful rules possible).
 type Constructor func(p Params) (Rule, error)
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Constructor{}
-)
-
-// Register adds a named rule constructor to the registry. It panics on
-// duplicate names, which would make serialized specs ambiguous.
-func Register(name string, c Constructor) {
-	if name == "" || c == nil {
-		panic("rules: Register with empty name or nil constructor")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("rules: duplicate registration of %q", name))
-	}
-	registry[name] = c
-}
-
 // New constructs the named rule with the given parameters (nil for
 // parameterless rules).
 func New(name string, p Params) (Rule, error) {
-	regMu.RLock()
-	c, ok := registry[name]
-	regMu.RUnlock()
+	c, ok := constructors[name]
 	if !ok {
-		return nil, fmt.Errorf("rules: unknown rule %q (known: %v)", name, Names())
+		return nil, fmt.Errorf("rules: unknown rule %q (known: %v)", name, names)
 	}
 	return c(p)
 }
@@ -58,17 +37,8 @@ type Ref struct {
 // New constructs a fresh instance of the referenced rule.
 func (r Ref) New() (Rule, error) { return New(r.Name, r.Params) }
 
-// Names returns the registered rule names in sorted order.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+// Names returns the rule names in sorted order, in a slice the caller owns.
+func Names() []string { return slices.Clone(names) }
 
 // noParams errors when p carries any key — used by parameterless rules.
 func noParams(name string, p Params) error {
@@ -88,14 +58,16 @@ func simple(name string, r Rule) Constructor {
 	}
 }
 
-func init() {
-	Register("median", simple("median", Median{}))
-	Register("majority", simple("majority", Majority{}))
-	Register("minimum", simple("minimum", Minimum{}))
-	Register("maximum", simple("maximum", Maximum{}))
-	Register("mean", simple("mean", Mean{}))
-	Register("voter", simple("voter", Voter{}))
-	Register("kmedian", func(p Params) (Rule, error) {
+// constructors maps every rule name a spec can carry to its constructor. It
+// is a fixed table: a new rule is added here, in place.
+var constructors = map[string]Constructor{
+	"median":   simple("median", Median{}),
+	"majority": simple("majority", Majority{}),
+	"minimum":  simple("minimum", Minimum{}),
+	"maximum":  simple("maximum", Maximum{}),
+	"mean":     simple("mean", Mean{}),
+	"voter":    simple("voter", Voter{}),
+	"kmedian": func(p Params) (Rule, error) {
 		k := 1
 		for key, v := range p {
 			if key != "k" {
@@ -107,5 +79,8 @@ func init() {
 			k = int(v)
 		}
 		return KMedian{K: k}, nil
-	})
+	},
 }
+
+// names is constructors' keys, sorted once.
+var names = slices.Sorted(maps.Keys(constructors))

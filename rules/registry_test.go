@@ -1,7 +1,10 @@
 package rules
 
 import (
+	"maps"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -16,6 +19,52 @@ func TestRegistryNames(t *testing.T) {
 			t.Fatalf("Names()[%d] = %q, want %q", i, got[i], want[i])
 		}
 	}
+}
+
+// TestNamesAreTheTable: Names lists the table's keys, sorted, in a copy
+// the caller may change without changing the next call's result.
+func TestNamesAreTheTable(t *testing.T) {
+	got := Names()
+	if want := slices.Sorted(maps.Keys(constructors)); !slices.Equal(got, want) {
+		t.Fatalf("Names() = %v, want the table's sorted keys %v", got, want)
+	}
+	got[0] = "changed"
+	if Names()[0] == "changed" {
+		t.Fatal("Names() returned the table's own slice")
+	}
+}
+
+// TestUnknownRuleError pins the unknown-name error, byte for byte.
+func TestUnknownRuleError(t *testing.T) {
+	const want = `rules: unknown rule "nope" (known: [kmedian majority maximum mean median minimum voter])`
+	_, err := New("nope", nil)
+	_, refErr := Ref{Name: "nope"}.New()
+	for _, err := range []error{err, refErr} {
+		if err == nil || err.Error() != want {
+			t.Fatalf("error %v, want %s", err, want)
+		}
+	}
+}
+
+// TestConcurrentLookups resolves names from several goroutines at once,
+// so that the race detector sees the table only read.
+func TestConcurrentLookups(t *testing.T) {
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, name := range Names() {
+				if _, err := New(name, nil); err != nil {
+					t.Errorf("New(%q): %v", name, err)
+				}
+			}
+			if _, err := New("nope", nil); err == nil {
+				t.Error("unknown rule must error")
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestRegistryConstructs(t *testing.T) {

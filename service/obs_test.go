@@ -231,7 +231,11 @@ func TestRequestIDMiddleware(t *testing.T) {
 	}
 
 	// An id is propagated only if it is at most 128 bytes of
-	// [A-Za-z0-9._:-]; the job keeps a generated one otherwise.
+	// [A-Za-z0-9._:-]; the job keeps a generated one otherwise. Each
+	// resubmission must be a fresh cache-hit job carrying its own id, so
+	// the first run finishes first: a submit while it is still queued or
+	// running would coalesce onto it and return req-abc-123.
+	waitDone(t, s, v.ID)
 	for i, tc := range []struct {
 		id        string
 		propagate bool

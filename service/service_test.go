@@ -11,8 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/assign"
-	"repro/internal/initspec"
 	"repro/multidim"
 )
 
@@ -829,55 +827,6 @@ func TestSubmitLeavesPayloadAlone(t *testing.T) {
 	}
 	if p.Mode != "" {
 		t.Fatalf("Submit rewrote the caller's payload: mode %q", p.Mode)
-	}
-}
-
-// countedNormalizes and countedChecks count the normalizations and checks
-// of the "counted" init kind, twovalue under another name: a median
-// payload's Normalize and Validate each make one.
-var countedNormalizes, countedChecks atomic.Int64
-
-func init() {
-	twovalue := func(s initspec.Spec) initspec.Spec {
-		s.Kind = "twovalue"
-		return s
-	}
-	initspec.Register("counted", initspec.Generator{
-		Generate:     func(s initspec.Spec) ([]initspec.Value, error) { return initspec.Build(twovalue(s)) },
-		GenerateDist: func(s initspec.Spec) (assign.Dist, error) { return initspec.BuildDist(twovalue(s)) },
-		Check: func(s initspec.Spec) error {
-			countedChecks.Add(1)
-			return initspec.Check(twovalue(s))
-		},
-		Normalize: func(s initspec.Spec) initspec.Spec {
-			countedNormalizes.Add(1)
-			s = initspec.Normalize(twovalue(s))
-			s.Kind = "counted"
-			return s
-		},
-		Size:    func(s initspec.Spec) int64 { return initspec.Size(twovalue(s)) },
-		Support: func(s initspec.Spec) int64 { return initspec.Support(twovalue(s)) },
-	})
-}
-
-// TestMissAdmitsOnce: a submitted miss normalizes and validates its
-// payload once, at admission; the worker runs the admitted spec as it is.
-func TestMissAdmitsOnce(t *testing.T) {
-	s := newTestService(t, Options{Workers: 1})
-	defer s.Close()
-	normalizes, checks := countedNormalizes.Load(), countedChecks.Load()
-	v, err := s.Submit(Spec{Seed: 3, Payload: &MedianSpec{
-		Init: InitSpec{Kind: "counted", N: 100},
-		Rule: RuleSpec{Name: "median"},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v = waitDone(t, s, v.ID); v.Status != StatusDone || v.CacheHit {
-		t.Fatalf("want a run: %+v", v)
-	}
-	if n, c := countedNormalizes.Load()-normalizes, countedChecks.Load()-checks; n != 1 || c != 1 {
-		t.Fatalf("a miss normalized its payload %d times and validated it %d times, want once each", n, c)
 	}
 }
 

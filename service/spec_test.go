@@ -827,7 +827,7 @@ func TestValidateAdversaryHooks(t *testing.T) {
 
 // TestEngineDescriptors: the registry serves one self-describing
 // descriptor per kind, sorted by kind and stable across calls (the
-// enum lists come from the live registries, not registration order).
+// enum lists come from the fixed rule, adversary and init-kind tables).
 func TestEngineDescriptors(t *testing.T) {
 	ds := engine.Descriptors()
 	if len(ds) < 4 {
