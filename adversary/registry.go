@@ -84,32 +84,29 @@ func (r Ref) New() (model.Adversary, error) { return New(r.Name, r.Budget, r.Par
 // owns.
 func Names() []string { return slices.Clone(names) }
 
-// intParam extracts an integral parameter with a default, consuming it from
-// the residue map used for unknown-key detection.
-func intParam(name string, residue map[string]float64, key string, def int64) (int64, error) {
-	v, ok := residue[key]
+// intParam reads an integral parameter, def if p does not set it.
+func intParam(name string, p Params, key string, def int64) (int64, error) {
+	v, ok := p[key]
 	if !ok {
 		return def, nil
 	}
-	delete(residue, key)
 	if v != float64(int64(v)) {
 		return 0, fmt.Errorf("adversary: %s parameter %q must be an integer, got %v", name, key, v)
 	}
 	return int64(v), nil
 }
 
-// residueOf copies p so parameters can be consumed key by key.
-func residueOf(p Params) map[string]float64 {
-	m := make(map[string]float64, len(p))
-	for k, v := range p {
-		m[k] = v
+// rejectUnknown reports the smallest key of p that known does not list,
+// before any value is checked, so one spec always gets one error text.
+func rejectUnknown(name string, p Params, known ...string) error {
+	first, found := "", false
+	for k := range p {
+		if !slices.Contains(known, k) && (!found || k < first) {
+			first, found = k, true
+		}
 	}
-	return m
-}
-
-func rejectResidue(name string, residue map[string]float64) error {
-	for k := range residue {
-		return fmt.Errorf("adversary: %s does not know parameter %q", name, k)
+	if found {
+		return fmt.Errorf("adversary: %s does not know parameter %q", name, first)
 	}
 	return nil
 }
@@ -118,16 +115,15 @@ func rejectResidue(name string, residue map[string]float64) error {
 // constructor. It is a fixed table: a new strategy is added here, in place.
 var constructors = map[string]Constructor{
 	"balancer": func(budget BudgetFunc, p Params) (model.Adversary, error) {
-		res := residueOf(p)
-		low, err := intParam("balancer", res, "low", 0)
+		if err := rejectUnknown("balancer", p, "low", "high"); err != nil {
+			return nil, err
+		}
+		low, err := intParam("balancer", p, "low", 0)
 		if err != nil {
 			return nil, err
 		}
-		high, err := intParam("balancer", res, "high", 0)
+		high, err := intParam("balancer", p, "high", 0)
 		if err != nil {
-			return nil, err
-		}
-		if err := rejectResidue("balancer", res); err != nil {
 			return nil, err
 		}
 		return NewBalancer(budget, Value(low), Value(high)), nil
@@ -135,57 +131,54 @@ var constructors = map[string]Constructor{
 	"reviver": func(budget BudgetFunc, p Params) (model.Adversary, error) {
 		// Reviver always runs with budget 1 (it never needs more); the
 		// budget spec is accepted for uniformity and ignored.
-		res := residueOf(p)
-		target, err := intParam("reviver", res, "target", 1)
+		if err := rejectUnknown("reviver", p, "target", "delay"); err != nil {
+			return nil, err
+		}
+		target, err := intParam("reviver", p, "target", 1)
 		if err != nil {
 			return nil, err
 		}
-		delay, err := intParam("reviver", res, "delay", 0)
+		delay, err := intParam("reviver", p, "delay", 0)
 		if err != nil {
 			return nil, err
 		}
 		if delay < 0 {
 			return nil, fmt.Errorf("adversary: reviver delay must be >= 0, got %d", delay)
 		}
-		if err := rejectResidue("reviver", res); err != nil {
-			return nil, err
-		}
 		return NewReviver(Value(target), int(delay)), nil
 	},
 	"hider": func(budget BudgetFunc, p Params) (model.Adversary, error) {
-		res := residueOf(p)
-		held, err := intParam("hider", res, "held", 1)
-		if err != nil {
+		if err := rejectUnknown("hider", p, "held"); err != nil {
 			return nil, err
 		}
-		if err := rejectResidue("hider", res); err != nil {
+		held, err := intParam("hider", p, "held", 1)
+		if err != nil {
 			return nil, err
 		}
 		return NewHider(budget, Value(held)), nil
 	},
 	"flipper": func(budget BudgetFunc, p Params) (model.Adversary, error) {
-		res := residueOf(p)
-		a, err := intParam("flipper", res, "a", 1)
+		if err := rejectUnknown("flipper", p, "a", "b"); err != nil {
+			return nil, err
+		}
+		a, err := intParam("flipper", p, "a", 1)
 		if err != nil {
 			return nil, err
 		}
-		b, err := intParam("flipper", res, "b", 2)
+		b, err := intParam("flipper", p, "b", 2)
 		if err != nil {
-			return nil, err
-		}
-		if err := rejectResidue("flipper", res); err != nil {
 			return nil, err
 		}
 		return NewFlipper(budget, Value(a), Value(b)), nil
 	},
 	"random-noise": func(budget BudgetFunc, p Params) (model.Adversary, error) {
-		if err := rejectResidue("random-noise", residueOf(p)); err != nil {
+		if err := rejectUnknown("random-noise", p); err != nil {
 			return nil, err
 		}
 		return NewRandomNoise(budget), nil
 	},
 	"median-splitter": func(budget BudgetFunc, p Params) (model.Adversary, error) {
-		if err := rejectResidue("median-splitter", residueOf(p)); err != nil {
+		if err := rejectUnknown("median-splitter", p); err != nil {
 			return nil, err
 		}
 		return NewMedianSplitter(budget), nil

@@ -161,3 +161,25 @@ func TestNonFiniteRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownParamErrorIsStable: with several unknown parameters the
+// error names the smallest, whatever order the map yields them in, and
+// comes before the check of a known parameter's bad value.
+func TestUnknownParamErrorIsStable(t *testing.T) {
+	budget := BudgetSpec{Kind: "sqrt", Factor: 1}
+	for _, c := range []struct {
+		name string
+		p    Params
+		want string
+	}{
+		{"balancer", Params{"target": 1, "delay": 2, "alpha": 3}, `adversary: balancer does not know parameter "alpha"`},
+		{"balancer", Params{"target": 1, "delay": 2, "zeta": 3, "low": 1.5}, `adversary: balancer does not know parameter "delay"`},
+		{"median-splitter", Params{"c": 1, "b": 2, "d": 3}, `adversary: median-splitter does not know parameter "b"`},
+	} {
+		for range 100 {
+			if _, err := New(c.name, budget, c.p); err == nil || err.Error() != c.want {
+				t.Fatalf("%s %v: got %v, want %s", c.name, c.p, err, c.want)
+			}
+		}
+	}
+}

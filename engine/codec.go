@@ -10,15 +10,16 @@ import (
 
 // This file is the one-pass codec of the types a run reports: Record and
 // Result, RunTiming included. The encoders write byte for byte what
-// encoding/json writes for these types, which stays the reference; the
-// decoders parse the shapes the encoders write and leave the rest to
-// encoding/json.
+// encoding/json writes for these types, which stays the reference. The
+// decoders read a value as the encoders write it, keys in their order and
+// each value in its form, with no key scanned or looked up, and leave any
+// other shape to encoding/json.
 
 // UnmarshalJSON decodes a record as encoding/json decodes it into a Record
-// without this method. A record of the shape the encoder writes is parsed
-// in one pass over data; any other record, such as one with a
-// leader_point or a key spelled another way, goes through encoding/json.
-// The client decodes every streamed record through it.
+// without this method. A record as the encoder writes it is parsed in one
+// pass over data; any other record, such as one with a leader_point or a
+// key spelled another way, goes through encoding/json. The client decodes
+// every streamed record through it.
 func (r *Record) UnmarshalJSON(data []byte) error {
 	rec := *r
 	if end, ok := rec.parse(data, skipSpace(data, 0)); ok && skipSpace(data, end) == len(data) {
@@ -31,88 +32,28 @@ func (r *Record) UnmarshalJSON(data []byte) error {
 // plainRecord is Record without its decoder, for encoding/json.
 type plainRecord Record
 
-// parse decodes the record object that starts at data[i] into r, in place
-// as encoding/json would, and returns the index just past it. It reads the
-// scalar members in the forms the encoder writes, in any order, a repeated
-// one overwriting the earlier. It reports false, with r partly written,
-// for any other record: one with a leader_point, an escaped key or a key
-// spelled another way, or a value encoding/json would reject.
+// parse decodes the record that starts at data[i] into r, in place as
+// encoding/json would, and returns the index just past it, if it is
+// written as AppendJSON writes a record with no leader_point. It reports
+// false, with r partly written, for any other record.
 func (r *Record) parse(data []byte, i int) (end int, ok bool) {
-	if i == len(data) || data[i] != '{' {
-		return i, false
+	c := cursor{data: data, i: i, ok: true}
+	c.lit(`{"round":`)
+	readInt(&c, &r.Round)
+	c.lit(`,"n":`)
+	readInt(&c, &r.N)
+	c.lit(`,"support":`)
+	readInt(&c, &r.Support)
+	c.lit(`,"leader":`)
+	readInt(&c, &r.Leader)
+	c.lit(`,"leader_count":`)
+	readInt(&c, &r.LeaderCount)
+	if c.opt(`,"absorbed":`) {
+		c.float(&r.Absorbed)
 	}
-	i = skipSpace(data, i+1)
-	if i < len(data) && data[i] == '}' {
-		return i + 1, true
-	}
-	for {
-		j, escaped := stringEnd(data, i)
-		if j < 0 || escaped {
-			return i, false
-		}
-		key := data[i+1 : j-1]
-		if i = skipSpace(data, j); i == len(data) || data[i] != ':' {
-			return i, false
-		}
-		i = skipSpace(data, i+1)
-		switch string(key) {
-		case "round":
-			i, ok = intAt(data, i, &r.Round)
-		case "n":
-			i, ok = intAt(data, i, &r.N)
-		case "support":
-			i, ok = intAt(data, i, &r.Support)
-		case "leader":
-			i, ok = intAt(data, i, &r.Leader)
-		case "leader_count":
-			i, ok = intAt(data, i, &r.LeaderCount)
-		case "absorbed":
-			j = valueEnd(data, i)
-			ok = j >= 0 && DecodeFloat(data[i:j], &r.Absorbed) == nil
-			i = j
-		default:
-			return i, false
-		}
-		if !ok {
-			return i, false
-		}
-		if i = skipSpace(data, i); i == len(data) {
-			return i, false
-		}
-		switch data[i] {
-		case ',':
-			i = skipSpace(data, i+1)
-		case '}':
-			return i + 1, true
-		default:
-			return i, false
-		}
-	}
+	ok = c.lit("}")
+	return c.i, ok
 }
-
-// intAt decodes the JSON value that starts at data[i] into dst as
-// DecodeInt does, and returns the index just past it. A count of at most
-// 18 digits, the form the encoder writes, is parsed as it is scanned.
-func intAt[T int | int64](data []byte, i int, dst *T) (end int, ok bool) {
-	var n uint64
-	j := i
-	for ; j < len(data) && j-i < 19 && '0' <= data[j] && data[j] <= '9'; j++ {
-		n = n*10 + uint64(data[j]-'0')
-	}
-	digits := j - i
-	plain := digits > 0 && digits < 19 && (data[i] != '0' || digits == 1) && j < len(data) && delimiter[data[j]]
-	if plain && uint64(T(n)) == n && T(n) >= 0 {
-		*dst = T(n)
-		return j, true
-	}
-	if end = valueEnd(data, i); end < 0 {
-		return i, false
-	}
-	return end, DecodeInt(data[i:end], dst) == nil
-}
-
-// delimiter marks the bytes that end a JSON number.
-var delimiter = [256]bool{' ': true, '\t': true, '\n': true, '\r': true, ',': true, '}': true, ']': true}
 
 // DecodeRecords decodes the JSON array of records that data starts with
 // into a new slice at dst, as encoding/json decodes it into a nil
@@ -238,63 +179,143 @@ func (r *Result) AppendJSON(out []byte) ([]byte, error) {
 	return append(out, '}'), nil
 }
 
-// DecodeResult parses a result's scalar members and its timing into res,
-// decoding each member in place as encoding/json would. It reports false
-// for any other result: one holding a member it does not parse (messages,
-// exact, winner_point, tuple_valid, coord_valid, a null timing or a key
-// spelled another way), or a value encoding/json would reject. res may
-// then be partly written; the caller decodes the whole document again
-// with encoding/json.
-func DecodeResult(data []byte, res *Result) bool {
-	return EachMember(data, func(key, value []byte) bool {
-		switch string(key) {
-		case "rounds":
-			return DecodeInt(value, &res.Rounds) == nil
-		case "reason":
-			return DecodeString(value, &res.Reason) == nil
-		case "winner":
-			return DecodeInt(value, &res.Winner) == nil
-		case "winner_count":
-			return DecodeInt(value, &res.WinnerCount) == nil
-		case "stable_since":
-			return DecodeInt(value, &res.StableSince) == nil
-		case "seed":
-			return DecodeInt(value, &res.Seed) == nil
-		case "steps":
-			return DecodeInt(value, &res.Steps) == nil
-		case "parallel_time":
-			return DecodeFloat(value, &res.ParallelTime) == nil
-		case "dissenters":
-			return DecodeInt(value, &res.Dissenters) == nil
-		case "timing":
-			if res.Timing == nil {
-				res.Timing = new(RunTiming)
-			}
-			return decodeTiming(value, res.Timing)
+// DecodeResult decodes the result that data starts with into res, each
+// member in place as encoding/json would decode it, and returns its
+// length, if it is written as AppendJSON writes a result with no
+// messages, winner_point, tuple_valid, coord_valid or exact. It returns
+// -1 for any other result; res may then be partly written, and the caller
+// decodes the whole document again with encoding/json.
+func DecodeResult(data []byte, res *Result) int {
+	c := cursor{data: data, ok: true}
+	c.lit(`{"rounds":`)
+	readInt(&c, &res.Rounds)
+	c.lit(`,"reason":`)
+	c.str(&res.Reason)
+	c.lit(`,"winner":`)
+	readInt(&c, &res.Winner)
+	c.lit(`,"winner_count":`)
+	readInt(&c, &res.WinnerCount)
+	c.lit(`,"stable_since":`)
+	readInt(&c, &res.StableSince)
+	c.lit(`,"seed":`)
+	readInt(&c, &res.Seed)
+	if c.opt(`,"steps":`) {
+		readInt(&c, &res.Steps)
+	}
+	if c.opt(`,"parallel_time":`) {
+		c.float(&res.ParallelTime)
+	}
+	if c.opt(`,"dissenters":`) {
+		readInt(&c, &res.Dissenters)
+	}
+	if c.opt(`,"timing":`) {
+		if res.Timing == nil {
+			res.Timing = new(RunTiming)
 		}
-		return false
-	})
+		res.Timing.parse(&c)
+	}
+	if !c.lit("}") {
+		return -1
+	}
+	return c.i
 }
 
-// decodeTiming parses a result's timing into t.
-func decodeTiming(data []byte, t *RunTiming) bool {
-	return EachMember(data, func(key, value []byte) bool {
-		switch string(key) {
-		case "queue_wait_seconds":
-			return DecodeFloat(value, &t.QueueWaitSeconds) == nil
-		case "run_seconds":
-			return DecodeFloat(value, &t.RunSeconds) == nil
-		case "total_seconds":
-			return DecodeFloat(value, &t.TotalSeconds) == nil
-		case "records_emitted":
-			return DecodeInt(value, &t.RecordsEmitted) == nil
-		case "records_truncated":
-			return DecodeInt(value, &t.RecordsTruncated) == nil
-		case "rounds_per_sec":
-			return DecodeFloat(value, &t.RoundsPerSec) == nil
+// parse reads, at c, a timing written as Result.AppendJSON writes one.
+func (t *RunTiming) parse(c *cursor) {
+	c.lit(`{"queue_wait_seconds":`)
+	c.float(&t.QueueWaitSeconds)
+	c.lit(`,"run_seconds":`)
+	c.float(&t.RunSeconds)
+	c.lit(`,"total_seconds":`)
+	c.float(&t.TotalSeconds)
+	c.lit(`,"records_emitted":`)
+	readInt(c, &t.RecordsEmitted)
+	if c.opt(`,"records_truncated":`) {
+		readInt(c, &t.RecordsTruncated)
+	}
+	if c.opt(`,"rounds_per_sec":`) {
+		c.float(&t.RoundsPerSec)
+	}
+	c.lit("}")
+}
+
+// cursor reads data from i on as the encoders write it: a literal, then a
+// value in the form the encoder writes it. The first read that fails
+// clears ok, and every read after it does nothing, so a chain of reads is
+// checked once, at its end; i is then wherever the failed read left it.
+type cursor struct {
+	data []byte
+	i    int
+	ok   bool
+}
+
+// lit reads the literal s.
+func (c *cursor) lit(s string) bool {
+	if c.ok = c.ok && len(c.data)-c.i >= len(s) && string(c.data[c.i:c.i+len(s)]) == s; c.ok {
+		c.i += len(s)
+	}
+	return c.ok
+}
+
+// opt reads the literal s if it comes next, and reports whether it did;
+// if it does not, c stays as it was.
+func (c *cursor) opt(s string) bool {
+	if c.ok && len(c.data)-c.i >= len(s) && string(c.data[c.i:c.i+len(s)]) == s {
+		c.i += len(s)
+		return true
+	}
+	return false
+}
+
+// str reads a plain string (see PlainString) into dst.
+func (c *cursor) str(dst *string) {
+	if !c.ok {
+		return
+	}
+	end, escaped := stringEnd(c.data, c.i)
+	if c.ok = end >= 0 && !escaped && plainText(c.data[c.i+1:end-1]); c.ok {
+		*dst = string(c.data[c.i+1 : end-1])
+		c.i = end
+	}
+}
+
+// float reads a JSON number that fits a float64 into dst.
+func (c *cursor) float(dst *float64) {
+	if !c.ok {
+		return
+	}
+	end := numberEnd(c.data, c.i)
+	if c.ok = end >= 0; c.ok {
+		f, err := strconv.ParseFloat(string(c.data[c.i:end]), 64)
+		if c.ok = err == nil; c.ok {
+			*dst, c.i = f, end
 		}
-		return false
-	})
+	}
+}
+
+// readInt reads an integer written as the encoders write one, a count
+// (see countAt) with a '-' before it if negative, that fits T into dst.
+func readInt[T int | int64 | uint64](c *cursor, dst *T) {
+	if !c.ok {
+		return
+	}
+	i := c.i
+	neg := i < len(c.data) && c.data[i] == '-'
+	if neg {
+		i++
+	}
+	n, end, ok := countAt(c.data, i)
+	v := T(n)
+	if neg {
+		// T is signed (^T(0) < 0), and -n is at least its minimum.
+		v = -v
+		ok = ok && ^T(0) < 0 && v <= 0 && uint64(-v) == n
+	} else {
+		ok = ok && fits[T](n)
+	}
+	if c.ok = ok; ok {
+		*dst, c.i = v, end
+	}
 }
 
 // DecodeString decodes value into dst as encoding/json does. A string

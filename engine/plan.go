@@ -26,6 +26,10 @@ type plan struct {
 	// sorted holds them in key order, the canonical encoding's.
 	fields []field
 	sorted []*field
+	// names are the strings a string decodes to, not to a copy of its
+	// text, when its text spells one: the names the kind's descriptor
+	// lists for it (Param.Enum).
+	names []string
 }
 
 // field is one struct field the plan encodes and decodes.
@@ -48,13 +52,72 @@ func payloadPlan(t reflect.Type) *plan {
 	if p, ok := plans.Load(t); ok {
 		return p.(*plan)
 	}
-	var sp *plan
+	stored, _ := plans.LoadOrStore(t, structPlan(t))
+	return stored.(*plan)
+}
+
+// compilePayload compiles the plan of payload type t, as payloadPlan
+// does, with each string that one of params lists an Enum for decoding to
+// the listed names, and publishes it for t. A plan is never written once
+// published: a decode still holding an earlier one decodes as before, only
+// with every name a copy.
+func compilePayload(t reflect.Type, params []Param) {
+	sp := structPlan(t)
+	for _, prm := range params {
+		if s := sp.stringAt(prm.Name); s != nil {
+			s.names = append(s.names, prm.Enum...)
+		}
+	}
+	plans.Store(t, sp)
+}
+
+// structPlan compiles the plan payloadPlan returns for t.
+func structPlan(t reflect.Type) *plan {
 	if p := compile(t, map[reflect.Type]bool{}); p != nil && p.kind == reflect.Pointer && p.elem.kind == reflect.Struct &&
 		!slices.ContainsFunc(p.elem.fields, func(f field) bool { return slices.Contains(envelopeFields[:], f.name) }) {
-		sp = p.elem
+		return p.elem
 	}
-	stored, _ := plans.LoadOrStore(t, sp)
-	return stored.(*plan)
+	return nil
+}
+
+// stringAt returns the plan of the string at path, a descriptor's dotted
+// parameter name, in the struct p plans, following pointers; or nil if
+// path names no string there or p, a refused type's plan, is nil.
+func (p *plan) stringAt(path string) *plan {
+	if p == nil {
+		return nil
+	}
+	for key := range strings.SplitSeq(path, ".") {
+		for p.kind == reflect.Pointer {
+			p = p.elem
+		}
+		if p.kind != reflect.Struct {
+			return nil
+		}
+		i := p.fieldIndex([]byte(key))
+		if i < 0 {
+			return nil
+		}
+		p = p.fields[i].plan
+	}
+	for p.kind == reflect.Pointer {
+		p = p.elem
+	}
+	if p.kind != reflect.String {
+		return nil
+	}
+	return p
+}
+
+// name returns text as a string: the one of p.names it spells, if any,
+// and otherwise a copy of it.
+func (p *plan) name(text []byte) string {
+	for _, n := range p.names {
+		if n == string(text) {
+			return n
+		}
+	}
+	return string(text)
 }
 
 // codecMethods are the interfaces through which a type takes over its own
@@ -208,7 +271,8 @@ func (p *plan) encode(out []byte, v reflect.Value, err *error) []byte {
 // decodes it into v's zero value, and reports whether it did. It reads
 // only the forms encode writes: objects with exact, unescaped keys in any
 // order, each of a struct's at most once (a map's repeated key keeps its
-// last value, as in encoding/json); plain strings (see PlainString);
+// last value, as in encoding/json); plain strings (see PlainString), a
+// listed name decoded to p.names' own string;
 // integers with no fraction or exponent, signed only if negative, that fit
 // v; JSON numbers for floats; and no null. It reports false, with v partly
 // written, for any other value.
@@ -221,7 +285,7 @@ func (p *plan) decode(v reflect.Value, value []byte) bool {
 		if !PlainString(value) {
 			return false
 		}
-		v.SetString(string(value[1 : len(value)-1]))
+		v.SetString(p.name(value[1 : len(value)-1]))
 		return true
 	case reflect.Float64:
 		f, ok := plainFloat(value)

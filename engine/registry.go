@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
 	"sort"
@@ -20,13 +21,15 @@ type Engine interface {
 	NewPayload() Payload
 }
 
-// entry is one registered family plus its axis set and payload type,
-// captured once at Register time so the per-cell batch path never rebuilds
-// descriptors and no Spec method allocates a payload to learn its type
-// (descriptor enums may be recomputed freely, but the axis set and payload
-// type of a kind are static).
+// entry is one registered family plus its kind, axis set and payload
+// type, captured once at Register time so the per-cell batch path never
+// rebuilds descriptors and no Spec method allocates a payload to learn its
+// type (descriptor enums may be recomputed freely, but the axis set and
+// payload type of a kind are static). Decoded specs share kind, the
+// registry's own string.
 type entry struct {
 	engine  Engine
+	kind    string
 	axes    map[string]bool
 	payload reflect.Type
 }
@@ -68,8 +71,11 @@ func Register(e Engine) {
 	for _, a := range d.Axes {
 		axes[a] = true
 	}
-	registry[d.Kind] = entry{engine: e, axes: axes, payload: reflect.TypeOf(e.NewPayload())}
-	payloadPlan(registry[d.Kind].payload) // compiled now, so that no request pays for it
+	payload := reflect.TypeOf(e.NewPayload())
+	registry[d.Kind] = entry{engine: e, kind: d.Kind, axes: axes, payload: payload}
+	// Compiled now, so that no request pays for it, with the names the
+	// descriptor lists, so that no decode allocates them.
+	compilePayload(payload, d.Params)
 }
 
 // Lookup resolves a kind name. "" resolves to the default kind (the one
@@ -79,16 +85,19 @@ func Lookup(kind string) (Engine, error) {
 	return e.engine, err
 }
 
-// lookup is Lookup returning the whole registry entry.
-func lookup(kind string) (entry, error) {
+// lookup is Lookup returning the whole registry entry, for a kind given
+// as a string or as its text, which it does not copy.
+func lookup[T string | []byte](kind T) (entry, error) {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	if kind == "" {
-		kind = defaultKind
+	e, ok := entry{}, false
+	if len(kind) == 0 {
+		e, ok = registry[defaultKind]
+	} else {
+		e, ok = registry[string(kind)]
 	}
-	e, ok := registry[kind]
 	if !ok {
-		return entry{}, fmt.Errorf("engine: unknown spec kind %q (known: %v)", kind, kindsLocked())
+		return entry{}, fmt.Errorf("engine: unknown spec kind %q (known: %v)", cmp.Or(string(kind), defaultKind), kindsLocked())
 	}
 	return e, nil
 }

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strconv"
@@ -197,12 +198,21 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 	}
 	var env Spec
 	var envErr error
+	// kind is the text of a plain kind, written last: it is looked up
+	// below, not copied, and env.Kind set to the registry's own string.
+	var kind []byte
 	payload := members[:0]
 	for _, m := range members {
 		field, exact := envelopeField(m.key)
-		if field >= 0 {
+		switch {
+		case field == 0 && PlainString(m.value): // "kind"
+			env.Kind, kind = "", m.value[1:len(m.value)-1]
+		case field >= 0:
 			if err := env.setEnvelopeField(field, m.value); err != nil && envErr == nil {
 				envErr = fmt.Errorf("engine: bad spec field %s: %w", envelopeFields[field], err)
+			}
+			if env.Kind != "" { // a kind not plain, written last
+				kind = nil
 			}
 		}
 		if !exact {
@@ -226,7 +236,14 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 		}
 		return fmt.Errorf("%w: spec has v%d, this binary speaks v%d", ErrSpecVersion, env.V, SpecVersion)
 	}
-	e, err := lookup(env.Kind)
+	var e entry
+	var err error
+	if len(kind) > 0 {
+		e, err = lookup(kind)
+		env.Kind = e.kind
+	} else {
+		e, err = lookup(env.Kind)
+	}
 	if err != nil {
 		return err
 	}
@@ -411,29 +428,16 @@ func scanMembers(data []byte, fn func(raw, key, rest []byte) int) bool {
 	}
 }
 
-// EachMember calls fn with the key and value of each top-level member of
-// the JSON object in data, in the order written. It is the spec codec's
-// scanner, for one-pass decoders of the types that hold specs, results
-// and records. Like objectMembers it checks only the object's own
-// punctuation: an escaped key is unescaped and an unescaped one passed as
-// written, and checking each value is left to fn. It reports false,
-// having stopped, if data is not an object or fn returns false; fn may
-// have been called on members before a fault in the object's punctuation.
-func EachMember(data []byte, fn func(key, value []byte) bool) bool {
-	return scanMembers(data, func(_, key, rest []byte) int {
-		n := valueEnd(rest, 0)
-		if n < 0 || !fn(key, rest[:n]) {
-			return -1
-		}
-		return n
-	})
-}
-
-// ScanMembers is EachMember for decoders that find where a value ends as
-// they parse it: fn is called with each member's key and data from its
-// value on, and returns the value's length, found by parsing it or by
-// ValueLen, or -1 to stop. It reports false, having stopped, if data is
-// not an object or fn returns -1.
+// ScanMembers walks the top-level members of the JSON object in data, in
+// the order written, for one-pass decoders of the types that hold specs,
+// results and records. fn is called with each member's key and data from
+// its value on, and returns the value's length, found by parsing the value
+// or by ValueLen, or -1 to stop. Like objectMembers it checks only the
+// object's own punctuation: an escaped key is unescaped and an unescaped
+// one passed as written, and checking each value is left to fn. It
+// reports false, having stopped, if data is not an object or fn returns
+// -1; fn may have been called on members before a fault in the object's
+// punctuation.
 func ScanMembers(data []byte, fn func(key, rest []byte) int) bool {
 	return scanMembers(data, func(_, key, rest []byte) int { return fn(key, rest) })
 }
@@ -549,23 +553,39 @@ func plainText[T string | []byte](text T) bool {
 // count, that fits dst is parsed directly; any other value goes through
 // encoding/json.
 func DecodeInt[T int | int64 | uint64](value []byte, dst *T) error {
-	// n fits T when converting it keeps both its value and its sign.
-	if n, ok := plainUint(value); ok && uint64(T(n)) == n && T(n) >= 0 {
+	if n, ok := plainUint(value); ok && fits[T](n) {
 		*dst = T(n)
 		return nil
 	}
 	return unmarshalInto(value, dst)
 }
 
+// fits reports whether n converts to T keeping both its value and its
+// sign.
+func fits[T int | int64 | uint64](n uint64) bool { return uint64(T(n)) == n && T(n) >= 0 }
+
 // plainUint parses value as a JSON integer with no sign, fraction or
 // exponent that fits a uint64.
 func plainUint(value []byte) (uint64, bool) {
-	plain := len(value) > 0 && (value[0] != '0' || len(value) == 1)
-	for _, c := range value {
-		plain = plain && '0' <= c && c <= '9'
+	n, end, ok := countAt(value, 0)
+	return n, ok && end == len(value)
+}
+
+// countAt parses the digits at data[i] as the encoders write a count: with
+// no sign and no leading zero, and a value that fits a uint64. It returns
+// the count and the index just past its digits; the caller checks what
+// follows them.
+func countAt(data []byte, i int) (n uint64, end int, ok bool) {
+	j := i
+	for ; j < len(data) && '0' <= data[j] && data[j] <= '9'; j++ {
+		d := uint64(data[j] - '0')
+		// Nineteen digits always fit; a twentieth may not, and more never.
+		if j-i >= 19 && (j-i > 19 || n > (math.MaxUint64-d)/10) {
+			return 0, j, false
+		}
+		n = n*10 + d
 	}
-	n, err := strconv.ParseUint(string(value), 10, 64)
-	return n, plain && err == nil
+	return n, j, j > i && (data[i] != '0' || j == i+1)
 }
 
 // DecodeFloat decodes value into dst as encoding/json does. A JSON number
@@ -581,12 +601,54 @@ func DecodeFloat(value []byte, dst *float64) error {
 
 // plainFloat parses value as a JSON number that fits a float64.
 func plainFloat(value []byte) (float64, bool) {
-	// A valid JSON value that starts like a number is one.
-	if len(value) > 0 && (value[0] == '-' || '0' <= value[0] && value[0] <= '9') && json.Valid(value) {
+	if numberEnd(value, 0) == len(value) {
 		f, err := strconv.ParseFloat(string(value), 64)
 		return f, err == nil
 	}
 	return 0, false
+}
+
+// numberEnd returns the index just past the JSON number that starts at
+// data[i], by the grammar encoding/json checks, or -1 if none starts
+// there. The caller checks what follows it.
+func numberEnd(data []byte, i int) int {
+	if i < len(data) && data[i] == '-' {
+		i++
+	}
+	switch j := digitsEnd(data, i); {
+	case j == i:
+		return -1
+	case data[i] == '0': // a leading zero stands alone
+		i++
+	default:
+		i = j
+	}
+	if i < len(data) && data[i] == '.' {
+		j := digitsEnd(data, i+1)
+		if j == i+1 {
+			return -1
+		}
+		i = j
+	}
+	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		j := i + 1
+		if j < len(data) && (data[j] == '+' || data[j] == '-') {
+			j++
+		}
+		if i = digitsEnd(data, j); i == j {
+			return -1
+		}
+	}
+	return i
+}
+
+// digitsEnd returns the index of the first byte at or after data[i] that
+// is not a decimal digit.
+func digitsEnd(data []byte, i int) int {
+	for i < len(data) && '0' <= data[i] && data[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 // unmarshalInto is json.Unmarshal(value, dst) through a copy of *dst, so

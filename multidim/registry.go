@@ -302,11 +302,19 @@ func AdversaryNames() []string { return slices.Clone(adversaryNames) }
 // constructor. It is a fixed table: a new strategy is added here, in place.
 var adversaries = map[string]AdvConstructor{
 	"noise": func(p Params) (Adversary, error) {
-		t := 1
-		for key, v := range p {
-			if key != "t" {
-				return nil, fmt.Errorf("multidim: noise knows only parameter \"t\", got %q", key)
+		// The smallest unknown key is reported, before any value is
+		// checked, so one spec always gets one error text.
+		first, found := "", false
+		for key := range p {
+			if key != "t" && (!found || key < first) {
+				first, found = key, true
 			}
+		}
+		if found {
+			return nil, fmt.Errorf("multidim: noise knows only parameter \"t\", got %q", first)
+		}
+		t := 1
+		if v, ok := p["t"]; ok {
 			if v != float64(int(v)) || int(v) < 0 {
 				return nil, fmt.Errorf("multidim: noise parameter t must be a non-negative integer, got %v", v)
 			}

@@ -197,3 +197,15 @@ func TestPluralityEmptyState(t *testing.T) {
 		t.Fatalf("Plurality(nil) = %v/%d/%d, want nil/0/0", w, c, support)
 	}
 }
+
+// TestUnknownParamErrorIsStable: with several unknown parameters the
+// error names the smallest, whatever order the map yields them in, and
+// comes before the check of a known parameter's bad value.
+func TestUnknownParamErrorIsStable(t *testing.T) {
+	const want = `multidim: noise knows only parameter "t", got "b"`
+	for range 100 {
+		if _, err := NewAdversary("noise", Params{"z": 1, "b": 2, "y": 3, "t": 1.5}); err == nil || err.Error() != want {
+			t.Fatalf("got %v, want %s", err, want)
+		}
+	}
+}

@@ -40,12 +40,24 @@ func (r Ref) New() (Rule, error) { return New(r.Name, r.Params) }
 // Names returns the rule names in sorted order, in a slice the caller owns.
 func Names() []string { return slices.Clone(names) }
 
-// noParams errors when p carries any key — used by parameterless rules.
+// noParams errors when p carries any key, naming the smallest — used by
+// parameterless rules.
 func noParams(name string, p Params) error {
-	for k := range p {
+	if k, ok := unknownParam(p); ok {
 		return fmt.Errorf("rules: %s takes no parameters, got %q", name, k)
 	}
 	return nil
+}
+
+// unknownParam returns the smallest key of p that known does not list, so
+// one spec always gets one error text.
+func unknownParam(p Params, known ...string) (first string, found bool) {
+	for k := range p {
+		if !slices.Contains(known, k) && (!found || k < first) {
+			first, found = k, true
+		}
+	}
+	return first, found
 }
 
 // simple wraps a parameterless rule value as a Constructor.
@@ -68,11 +80,11 @@ var constructors = map[string]Constructor{
 	"mean":     simple("mean", Mean{}),
 	"voter":    simple("voter", Voter{}),
 	"kmedian": func(p Params) (Rule, error) {
+		if key, ok := unknownParam(p, "k"); ok {
+			return nil, fmt.Errorf("rules: kmedian knows only parameter \"k\", got %q", key)
+		}
 		k := 1
-		for key, v := range p {
-			if key != "k" {
-				return nil, fmt.Errorf("rules: kmedian knows only parameter \"k\", got %q", key)
-			}
+		if v, ok := p["k"]; ok {
 			if v != float64(int(v)) || int(v) < 1 {
 				return nil, fmt.Errorf("rules: kmedian parameter k must be a positive integer, got %v", v)
 			}

@@ -116,3 +116,24 @@ func TestNonFiniteParamsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownParamErrorIsStable: with several unknown parameters the
+// error names the smallest, whatever order the map yields them in, and
+// comes before the check of a known parameter's bad value.
+func TestUnknownParamErrorIsStable(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		p    Params
+		want string
+	}{
+		{"kmedian", Params{"q": 1, "b": 2, "z": 3}, `rules: kmedian knows only parameter "k", got "b"`},
+		{"kmedian", Params{"q": 1, "k": 0.5, "z": 3, "l": 4}, `rules: kmedian knows only parameter "k", got "l"`},
+		{"median", Params{"q": 1, "b": 2, "z": 3}, `rules: median takes no parameters, got "b"`},
+	} {
+		for range 100 {
+			if _, err := New(c.name, c.p); err == nil || err.Error() != c.want {
+				t.Fatalf("%s %v: got %v, want %s", c.name, c.p, err, c.want)
+			}
+		}
+	}
+}

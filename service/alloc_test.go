@@ -68,3 +68,42 @@ func TestAdmitAllocs(t *testing.T) {
 		t.Errorf("Admit: %v allocations, want at most 4", got)
 	}
 }
+
+// TestRecoveryAllocs pins New's allocations per recovered run on the
+// restart benchmark's store: per run, the store's decode allocates the
+// run, its id, spec hash, reason, timing, payload and records, and the
+// reload a cache entry, the packed records and a job. Names the kind's
+// descriptor lists decode to the listed strings, and the scan's index, the
+// job map and the history are each allocated once, sized for every run.
+func TestRecoveryAllocs(t *testing.T) {
+	path := restartStore(t)
+	got := testing.AllocsPerRun(5, func() {
+		s, err := New(Options{StorePath: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+	}) / restartRuns
+	if got > 10.5 {
+		t.Errorf("New: %.2f allocations per recovered run, want at most 10.5", got)
+	}
+}
+
+// TestSpecDecodeAllocs pins the allocations of decoding the serve
+// benchmark's hit spec: the payload alone. The kind is the registry's
+// own string and every payload string is a name its descriptor lists.
+func TestSpecDecodeAllocs(t *testing.T) {
+	canonical, err := hitSpec(12345).Normalize().MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(50, func() {
+		var s Spec
+		if err := s.UnmarshalJSON(canonical); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 1 {
+		t.Errorf("UnmarshalJSON: %v allocations, want at most 1", got)
+	}
+}

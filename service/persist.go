@@ -40,7 +40,12 @@ func (nullStore) Close() error                     { return nil }
 
 // reload warms the result cache and the job history from the store. It
 // runs inside New, before the worker pool starts, so no locking is needed.
+// The job map and history are sized for the runs the store recovered.
 func (s *Service) reload() error {
+	if n := int(s.store.Stats().RecordsLoaded); n > 0 {
+		s.jobs = make(map[string]*Job, n)
+		s.order = make([]*Job, 0, n)
+	}
 	return s.store.Load(func(r StoredRun) error {
 		if r.SpecHash == "" {
 			return nil

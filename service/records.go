@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"iter"
 	"math"
+	"math/bits"
 )
 
 // packedRecords is a finished run's round records, varint-packed. A done
@@ -19,19 +20,43 @@ type packedRecords struct {
 	buf []byte
 }
 
-// packRecords encodes recs into a buffer of exactly the packed size.
+// packRecords encodes recs into a buffer of exactly the packed size,
+// allocated once.
 func packRecords(recs []RoundRecord) packedRecords {
 	if len(recs) == 0 {
 		return packedRecords{}
 	}
-	var buf []byte
+	size := 0
+	for _, r := range recs {
+		size += recordSize(r)
+	}
+	buf := make([]byte, 0, size)
 	for _, r := range recs {
 		buf = appendRecord(buf, r)
 	}
-	packed := make([]byte, len(buf))
-	copy(packed, buf)
-	return packedRecords{n: len(recs), buf: packed}
+	return packedRecords{n: len(recs), buf: buf}
 }
+
+// recordSize returns the length of r's packing.
+func recordSize(r RoundRecord) int {
+	n := varintSize(int64(r.Round)) + varintSize(r.N) + varintSize(int64(r.Support)) +
+		varintSize(r.Leader) + varintSize(r.LeaderCount)
+	if r.LeaderPoint == nil {
+		n++
+	} else {
+		n += uvarintSize(uint64(len(*r.LeaderPoint)) + 1)
+		for _, c := range *r.LeaderPoint {
+			n += varintSize(c)
+		}
+	}
+	return n + uvarintSize(math.Float64bits(r.Absorbed))
+}
+
+// uvarintSize and varintSize return the lengths binary.AppendUvarint and
+// binary.AppendVarint write for x.
+func uvarintSize(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+func varintSize(x int64) int { return uvarintSize(uint64(x<<1) ^ uint64(x>>63)) }
 
 func appendRecord(buf []byte, r RoundRecord) []byte {
 	buf = binary.AppendVarint(buf, int64(r.Round))

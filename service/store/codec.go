@@ -88,14 +88,15 @@ var (
 // such frames opaquely instead (errors.Is(err, engine.ErrSpecVersion)).
 //
 // One pass over the frame's members parses its ids and timestamps, the
-// spec through engine.Spec's own decoder, the result's scalars and
-// timing through engine.DecodeResult, and the records array through
-// engine.DecodeRecords, which parses each record where it scans it. A
+// spec through engine.Spec's own decoder, and the result with its timing
+// and the records array through engine.DecodeResult and
+// engine.DecodeRecords, which parse each where they scan it. A
 // frame holding anything else goes through encoding/json, the reference
 // both paths decode every frame like: a member the pass does not parse
-// (an unknown key, a key spelled another way, a result's messages, exact
-// or winner_point), a records array written twice, a record
-// encoding/json rejects, or a spec under another version.
+// (an unknown key, a key spelled another way, a result not written as
+// Result.AppendJSON writes one without messages, exact or winner_point),
+// a records array written twice, a record encoding/json rejects, or a
+// spec under another version.
 func DecodeRun(payload []byte) (Run, error) {
 	if r, ok := decodeRun(payload); ok {
 		return r, nil
@@ -132,18 +133,21 @@ type plainRecord engine.Record
 // not parse, or whose spec is not under engine.SpecVersion. Members are
 // decoded in place in the order written, so a repeated key overwrites, or
 // for result merges into, what the earlier one set, as encoding/json does.
-// The records array is parsed where it is scanned; every other value is
-// found first, then decoded.
+// The result and the records array are parsed where they are scanned;
+// every other value is found first, then decoded.
 func decodeRun(payload []byte) (Run, bool) {
 	var r Run
 	ok := engine.ScanMembers(payload, func(key, rest []byte) int {
-		if string(key) == "records" {
+		switch string(key) {
+		case "records":
 			// encoding/json decodes a second array into the first one's
 			// elements.
 			if r.Records != nil {
 				return -1
 			}
 			return engine.DecodeRecords(rest, &r.Records)
+		case "result":
+			return engine.DecodeResult(rest, &r.Result)
 		}
 		n := engine.ValueLen(rest)
 		if n < 0 || !r.decodeMember(key, rest[:n]) {
@@ -155,7 +159,7 @@ func decodeRun(payload []byte) (Run, bool) {
 }
 
 // decodeMember decodes the value of the member named key, other than
-// records, into r.
+// records and result, into r.
 func (r *Run) decodeMember(key, value []byte) bool {
 	switch string(key) {
 	case "id":
@@ -166,8 +170,6 @@ func (r *Run) decodeMember(key, value []byte) bool {
 		return engine.DecodeString(value, &r.RequestID) == nil
 	case "spec":
 		return r.Spec.UnmarshalJSON(value) == nil
-	case "result":
-		return engine.DecodeResult(value, &r.Result)
 	case "truncated":
 		return engine.DecodeInt(value, &r.Truncated) == nil
 	case "created":

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -111,6 +112,10 @@ func FuzzDecodeRun(f *testing.F) {
 	} {
 		f.Add([]byte(s))
 	}
+	f.Add([]byte(exactFrame))
+	for _, payload := range knockOffs(exactFrame) {
+		f.Add([]byte(payload))
+	}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		run, err := DecodeRun(payload)
@@ -147,6 +152,73 @@ func FuzzDecodeRun(f *testing.F) {
 			t.Fatalf("codec not byte-stable:\n first  %s\n second %s", buf, again)
 		}
 	})
+}
+
+// exactFrame is a frame as EncodeRun writes one of the serve benchmark's
+// prepped runs, three round records long: every member in the shape the
+// decoders' exact paths read.
+const exactFrame = `{"id":"r-1","spec_hash":"7ce36b64","spec":{"engine":"auto","init":{"kind":"uniform","n":5000,"m":16,"seed":2},"kind":"median","rule":{"name":"median"},"seed":2,"timing":"before-round","v":1},` +
+	`"result":{"rounds":17,"reason":"consensus","winner":9,"winner_count":5000,"stable_since":17,"seed":2,` +
+	`"timing":{"queue_wait_seconds":0.000027207,"run_seconds":0.000068948,"total_seconds":0.000096155,"records_emitted":3,"rounds_per_sec":246562.62690723443}},` +
+	`"records":[{"round":0,"n":5000,"support":16,"leader":7,"leader_count":351},{"round":1,"n":5000,"support":16,"leader":9,"leader_count":503},{"round":2,"n":5000,"support":1,"leader":9,"leader_count":5000}],` +
+	`"created":"2026-10-20T01:52:06.097172392Z","started":"2026-10-20T01:52:06.097199601Z","finished":"2026-10-20T01:52:06.097268548Z"}`
+
+// knockOffs returns variants of data, a document holding exactFrame's
+// spec, result or records, that knock the decoders' exact paths off at
+// each member they read, or take them to the edge of what they read:
+// keys out of order or escaped, members the exact paths do not read,
+// counts with a leading zero, 19 or 20 digits or an exponent, negative
+// counts and -0, -0 and exponents in floats, and names no descriptor
+// lists. Each replaces one member of data, where data holds it.
+func knockOffs(data string) []string {
+	var out []string
+	for _, c := range [][2]string{
+		// Records: keys out of order, escaped, or members beyond the five.
+		{`{"round":1,"n":5000,`, `{"n":5000,"round":1,`},
+		{`"leader":9,"leader_count":5000}`, `"leader_count":5000,"leader":9}`},
+		{`{"round":0,`, `{"\u0072ound":0,`},
+		{`"leader_count":351}`, `"leader_count":351,"absorbed":0.25}`},
+		{`"leader_count":503}`, `"leader_count":503,"leader_point":[1,-2]}`},
+		{`"leader_count":5000}]`, `"leader_count":5000,"absorbed":-0}]`},
+		// Record counts: a leading zero, negative, 19 and 20 digits, -0, 1E+2.
+		{`"support":16,"leader":7`, `"support":016,"leader":7`},
+		{`"leader":7,`, `"leader":-7,`},
+		{`"leader_count":351`, `"leader_count":1234567890123456789`},
+		{`"n":5000,"support":1,`, `"n":9223372036854775808,"support":1,`},
+		{`"round":2,`, `"round":-0,`},
+		{`"leader":9,"leader_count":503`, `"leader":1E+2,"leader_count":503`},
+		// The result: its members, counts, floats and timing.
+		{`"rounds":17,"reason"`, `"reason":"consensus","rounds":17,"x"`},
+		{`"reason":"consensus"`, `"re\u0061son":"consensus"`},
+		{`"reason":"consensus"`, `"reason":"con\u0073ensus"`},
+		{`"winner":9,`, `"winner":-9,`},
+		{`"winner":9,`, `"winner":09,`},
+		{`"stable_since":17,"seed":2,`, `"stable_since":17,"seed":18446744073709551615,`},
+		{`"stable_since":17,"seed":2,`, `"stable_since":17,"seed":18446744073709551616,`},
+		{`"stable_since":17,"seed":2,`, `"stable_since":17,"seed":2,"steps":40,"parallel_time":-0,"dissenters":1,`},
+		{`"stable_since":17,"seed":2,`, `"stable_since":17,"seed":2,"parallel_time":1E+2,"steps":4,`},
+		{`"stable_since":17,"seed":2,`, `"stable_since":17,"seed":2,"winner_point":[1],`},
+		{`"queue_wait_seconds":0.000027207`, `"queue_wait_seconds":-0`},
+		{`"run_seconds":0.000068948`, `"run_seconds":1E+2`},
+		{`"total_seconds":0.000096155`, `"total_seconds":00.5`},
+		{`"total_seconds":0.000096155`, `"total_seconds":1.`},
+		{`"records_emitted":3,`, `"records_emitted":-3,`},
+		{`"records_emitted":3,`, `"records_emitted":3,"records_truncated":2,`},
+		{`"records_emitted":3,"rounds_per_sec":246562.62690723443}`, `"rounds_per_sec":1e999,"records_emitted":3}`},
+		{`"timing":{"queue_wait_seconds"`, `"t\u0069ming":{"queue_wait_seconds"`},
+		// The spec: names no descriptor lists, and an escaped name.
+		{`"engine":"auto"`, `"engine":"warp"`},
+		{`"init":{"kind":"uniform"`, `"init":{"kind":"blob"`},
+		{`"rule":{"name":"median"}`, `"rule":{"name":"me\u0064ian"}`},
+		{`"timing":"before-round"`, `"timing":"whenever"`},
+		{`"kind":"median"`, `"kind":"nope"`},
+		{`"kind":"median"`, `"kind":"m\u0065dian"`},
+	} {
+		if strings.Contains(data, c[0]) {
+			out = append(out, strings.Replace(data, c[0], c[1], 1))
+		}
+	}
+	return out
 }
 
 // refRun, refResult and refRecord mirror Run, engine.Result and

@@ -315,6 +315,9 @@ func OpenWithPolicy(path string, pol Policy) (*Log, error) {
 		dirty = true
 		l.stats.GCRecordsDropped = gcDropped
 	}
+	if l.live != nil {
+		l.live = make(map[string]int64, len(kept))
+	}
 	for _, fr := range kept {
 		switch {
 		case fr.decoded:

@@ -66,51 +66,62 @@ var (
 // UnmarshalJSON decodes a view as encoding/json decodes it into a JobView
 // without this method. The members AppendJSON writes, in the forms it
 // writes them, are parsed in one pass over data: the result through
-// engine.DecodeResult, the spec through its own decoder. Any other view,
-// such as one with a member written null, a key spelled another way or a
-// gossip result's messages, goes through encoding/json. The client
-// decodes every view it receives through it.
+// engine.DecodeResult, where it is scanned, the spec through its own
+// decoder. Any other view, such as one with a member written null, a key
+// spelled another way or a gossip result's messages, goes through
+// encoding/json. The client decodes every view it receives through it.
 func (v *JobView) UnmarshalJSON(data []byte) error {
 	view := *v
-	if engine.EachMember(data, func(key, value []byte) bool {
-		switch string(key) {
-		case "id":
-			return engine.DecodeString(value, &view.ID) == nil
-		case "spec_hash":
-			return engine.DecodeString(value, &view.SpecHash) == nil
-		case "status":
-			return engine.DecodeString(value, (*string)(&view.Status)) == nil
-		case "cache_hit":
-			return decodeBool(value, &view.CacheHit)
-		case "result":
+	if engine.ScanMembers(data, func(key, rest []byte) int {
+		if string(key) == "result" {
 			if view.Result == nil {
 				view.Result = new(RunResult)
 			}
-			return engine.DecodeResult(value, view.Result)
-		case "error":
-			return engine.DecodeString(value, &view.Error) == nil
-		case "request_id":
-			return engine.DecodeString(value, &view.RequestID) == nil
-		case "records":
-			return engine.DecodeInt(value, &view.Records) == nil
-		case "truncated":
-			return engine.DecodeInt(value, &view.Truncated) == nil
-		case "created":
-			return engine.DecodeTime(value, &view.Created) == nil
-		case "started":
-			return decodeTimePtr(value, &view.Started)
-		case "finished":
-			return decodeTimePtr(value, &view.Finished)
-		case "spec":
-			return view.Spec.UnmarshalJSON(value) == nil
+			return engine.DecodeResult(rest, view.Result)
 		}
-		return false
+		n := engine.ValueLen(rest)
+		if n < 0 || !view.decodeMember(key, rest[:n]) {
+			return -1
+		}
+		return n
 	}) {
 		*v = view
 		return nil
 	}
 	type plain JobView
 	return json.Unmarshal(data, (*plain)(v))
+}
+
+// decodeMember decodes the value of the member named key, other than
+// result, into v.
+func (v *JobView) decodeMember(key, value []byte) bool {
+	switch string(key) {
+	case "id":
+		return engine.DecodeString(value, &v.ID) == nil
+	case "spec_hash":
+		return engine.DecodeString(value, &v.SpecHash) == nil
+	case "status":
+		return engine.DecodeString(value, (*string)(&v.Status)) == nil
+	case "cache_hit":
+		return decodeBool(value, &v.CacheHit)
+	case "error":
+		return engine.DecodeString(value, &v.Error) == nil
+	case "request_id":
+		return engine.DecodeString(value, &v.RequestID) == nil
+	case "records":
+		return engine.DecodeInt(value, &v.Records) == nil
+	case "truncated":
+		return engine.DecodeInt(value, &v.Truncated) == nil
+	case "created":
+		return engine.DecodeTime(value, &v.Created) == nil
+	case "started":
+		return decodeTimePtr(value, &v.Started)
+	case "finished":
+		return decodeTimePtr(value, &v.Finished)
+	case "spec":
+		return v.Spec.UnmarshalJSON(value) == nil
+	}
+	return false
 }
 
 // decodeBool parses a JSON boolean into dst.

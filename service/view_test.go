@@ -148,6 +148,9 @@ func FuzzViewCodec(f *testing.F) {
 	} {
 		f.Add([]byte(s), 0.0, int64(0))
 	}
+	for _, seed := range exactKnockOffs() {
+		f.Add([]byte(seed), 0.0, int64(0))
+	}
 	year10000 := time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC).Unix()
 	done := []byte(`{"id":"r-1","status":"done","cache_hit":true,"result":{"rounds":3,"reason":"consensus","winner":1,"winner_count":9,"stable_since":3,"seed":7,"exact":{"expected_rounds":1,"win_probability":0.5,"absorbed_by_end":1},"timing":{"queue_wait_seconds":0,"run_seconds":1,"total_seconds":1,"records_emitted":4}},"records":4,"created":"2026-01-02T03:04:05Z","started":"2026-01-02T03:04:05Z",` + spec + `}`)
 	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1e-7, 1e21, 123.456} {
@@ -178,6 +181,64 @@ func FuzzViewCodec(f *testing.F) {
 			checkRecordEncoding(t, (*engine.Record)(&rec))
 		}
 	})
+}
+
+// exactView and exactLine are a hit view and a stream line as the serve
+// benchmark's hit workload receives them: every member in the shape the
+// decoders' exact paths read.
+const (
+	exactView = `{"id":"r-1","spec_hash":"7ce36b64","status":"done","cache_hit":true,` +
+		`"result":{"rounds":17,"reason":"consensus","winner":9,"winner_count":5000,"stable_since":17,"seed":2,` +
+		`"timing":{"queue_wait_seconds":0.000027207,"run_seconds":0.000068948,"total_seconds":0.000096155,"records_emitted":18,"rounds_per_sec":246562.62690723443}},` +
+		`"request_id":"5c0ffee15bad1dea","records":18,"created":"2026-10-20T01:52:06.097172392Z","started":"2026-10-20T01:52:06.097199601Z","finished":"2026-10-20T01:52:06.097268548Z",` +
+		`"spec":{"engine":"auto","init":{"kind":"uniform","n":5000,"m":16,"seed":2},"kind":"median","rule":{"name":"median"},"seed":2,"timing":"before-round","v":1}}`
+	exactLine = `{"round":1,"n":5000,"support":16,"leader":9,"leader_count":503}`
+)
+
+// exactKnockOffs returns exactView and exactLine, and variants of them that
+// knock the decoders' exact paths off at each member they read, or take
+// them to the edge of what they read: keys out of order or escaped,
+// members the exact paths do not read, counts with a leading zero, 19 or
+// 20 digits or an exponent, negative counts and -0, -0 and exponents in
+// floats, and names no descriptor lists.
+func exactKnockOffs() []string {
+	out := []string{exactView, exactLine}
+	for _, c := range [][2]string{
+		{`{"round":1,"n":5000,`, `{"n":5000,"round":1,`},
+		{`{"round":1,`, `{"\u0072ound":1,`},
+		{`"leader_count":503}`, `"leader_count":503,"absorbed":0.25}`},
+		{`"leader_count":503}`, `"leader_count":503,"leader_point":[1,-2]}`},
+		{`"support":16,`, `"support":016,`},
+		{`"leader":9,"leader_count":503`, `"leader":-9,"leader_count":503`},
+		{`"leader_count":503`, `"leader_count":1234567890123456789`},
+		{`"round":1,`, `"round":-0,`},
+		{`"leader":9,"leader_count":503`, `"leader":1E+2,"leader_count":503`},
+		{`"rounds":17,"reason"`, `"reason":"consensus","rounds":17,"x"`},
+		{`"reason":"consensus"`, `"re\u0061son":"consensus"`},
+		{`"winner":9,`, `"winner":-9,`},
+		{`"winner_count":5000,`, `"winner_count":05000,`},
+		{`"stable_since":17,"seed":2,`, `"stable_since":17,"seed":18446744073709551615,`},
+		{`"stable_since":17,"seed":2,`, `"stable_since":17,"seed":18446744073709551616,`},
+		{`"stable_since":17,"seed":2,`, `"stable_since":17,"seed":2,"steps":40,"parallel_time":-0,"dissenters":1,`},
+		{`"stable_since":17,"seed":2,`, `"stable_since":17,"seed":2,"tuple_valid":true,`},
+		{`"queue_wait_seconds":0.000027207`, `"queue_wait_seconds":-0`},
+		{`"run_seconds":0.000068948`, `"run_seconds":1E+2`},
+		{`"total_seconds":0.000096155`, `"total_seconds":.5`},
+		{`"records_emitted":18,`, `"records_emitted":-18,`},
+		{`"records_emitted":18,`, `"records_emitted":18,"records_truncated":2,`},
+		{`"timing":{"queue_wait_seconds"`, `"t\u0069ming":{"queue_wait_seconds"`},
+		{`"engine":"auto"`, `"engine":"warp"`},
+		{`"init":{"kind":"uniform"`, `"init":{"kind":"blob"`},
+		{`"rule":{"name":"median"}`, `"rule":{"name":"me\u0064ian"}`},
+		{`"kind":"median"`, `"kind":"nope"`},
+	} {
+		for _, data := range []string{exactView, exactLine} {
+			if strings.Contains(data, c[0]) {
+				out = append(out, strings.Replace(data, c[0], c[1], 1))
+			}
+		}
+	}
+	return out
 }
 
 // exampleViews returns views of one run of each registered kind's
